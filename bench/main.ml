@@ -353,8 +353,9 @@ let par_bench () =
 (* The acceptance gauge of the physics fast path (DESIGN.md "Physics fast
    path"): slot-resolution throughput of the cached kernel against the
    seed kernel (Sinr.resolve_reference) at n in {64, 256, 1024} with
-   |S| = n/4 senders, plus the Reliability.estimate wall clock on both
-   kernels and a far-field sample.  Telemetry stays off (the experiment
+   |S| = n/4 senders, a capped leg past the cache budget (n = 2048, half
+   the table resident, |S| = n/64), plus the Reliability.estimate wall
+   clock on both kernels and a far-field sample.  Telemetry stays off (the experiment
    is in [uninstrumented]) so the clocks measure the kernels. *)
 let phys_bench_path = "BENCH_phys.json"
 
@@ -373,14 +374,14 @@ let calls_per_second f =
   in
   go 1
 
-let phys_deployment ~n =
+let phys_deployment ?(every = 4) ~n () =
   let rng = Rng.create 51 in
   (* Constant density: ~20 in-range neighbours per node at R = 12. *)
   let side = 4.4 *. sqrt (float_of_int n) in
   let pts =
     Placement.uniform rng ~n ~box:(Sinr_geom.Box.square ~side) ~min_dist:1.
   in
-  (Sinr.create Config.default pts, List.init (n / 4) (fun i -> i * 4))
+  (Sinr.create Config.default pts, List.init (n / every) (fun i -> i * every))
 
 let phys_bench () =
   Report.section "phys: cached kernel vs seed kernel";
@@ -388,7 +389,7 @@ let phys_bench () =
   let record name v = gauges := (name, v) :: !gauges in
   List.iter
     (fun n ->
-      let sinr, senders = phys_deployment ~n in
+      let sinr, senders = phys_deployment ~n () in
       let cached =
         calls_per_second (fun () -> ignore (Sinr.resolve sinr ~senders))
       in
@@ -405,11 +406,36 @@ let phys_bench () =
       record (Fmt.str "phys.bench.n%d.reference.slots_per_s" n) reference;
       record (Fmt.str "phys.bench.n%d.speedup" n) speedup)
     [ 64; 256; 1024 ];
+  (* Capped leg: past the cache budget half the listeners miss every
+     slot, and a miss scores only the slot's few senders — so the cached
+     kernel must still beat the seed kernel.  The budget is captured at
+     Sinr.create, so it is restored right after. *)
+  let n = 2048 in
+  let prev_cap = Phys_tuning.cache_cap_bytes () in
+  Phys_tuning.set_cache_cap_bytes (n * n * 8 / 2);
+  let sinr, senders =
+    Fun.protect
+      ~finally:(fun () -> Phys_tuning.set_cache_cap_bytes prev_cap)
+      (fun () -> phys_deployment ~every:64 ~n ())
+  in
+  let cached =
+    calls_per_second (fun () -> ignore (Sinr.resolve sinr ~senders))
+  in
+  let reference =
+    calls_per_second (fun () -> ignore (Sinr.resolve_reference sinr ~senders))
+  in
+  Fmt.pr
+    "resolve n=%-5d |S|=%-4d capped at half the table: cached %10.0f \
+     slots/s   seed %10.0f slots/s   speedup %5.2fx@."
+    n (List.length senders) cached reference (cached /. reference);
+  record "phys.bench.n2048_capped.cached.slots_per_s" cached;
+  record "phys.bench.n2048_capped.reference.slots_per_s" reference;
+  record "phys.bench.n2048_capped.speedup" (cached /. reference);
   (* Reliability.estimate wall clock: the production path (cached kernel,
      scratch sender arrays) against the same trial loop on the seed
      kernel. *)
   let rel_n = 256 and trials = 1_500 and p = 0.25 in
-  let sinr, _ = phys_deployment ~n:rel_n in
+  let sinr, _ = phys_deployment ~n:rel_n () in
   let set = List.init rel_n Fun.id in
   let rel_rng = Rng.create 52 in
   let time f =
@@ -454,7 +480,7 @@ let phys_bench () =
   let ff_rate, ref_rate =
     Fun.protect ~finally:(fun () -> Phys_tuning.set_farfield None)
     @@ fun () ->
-    let sinr_ff, senders = phys_deployment ~n:1024 in
+    let sinr_ff, senders = phys_deployment ~n:1024 () in
     ( calls_per_second (fun () -> ignore (Sinr.resolve sinr_ff ~senders)),
       calls_per_second (fun () ->
           ignore (Sinr.resolve_reference sinr_ff ~senders)) )

@@ -65,6 +65,9 @@ type 'm t = {
   mutable perturb : slot:int -> Sinr.perturb option;
       (* per-slot adversarial channel state (lib/chaos); the default is the
          clean channel *)
+  outcome : int array;
+      (* slot scratch: the sender each node decoded, -1 for none; every
+         resolve overwrites all n entries *)
 }
 
 let create ?(wake_on_receive = true) ?trace sinr =
@@ -76,7 +79,8 @@ let create ?(wake_on_receive = true) ?trace sinr =
     tx_total = 0;
     delivery_total = 0;
     trace;
-    perturb = (fun ~slot:_ -> None) }
+    perturb = (fun ~slot:_ -> None);
+    outcome = Array.make n (-1) }
 
 let set_perturb t f = t.perturb <- f
 
@@ -222,16 +226,14 @@ let step ?on_deliver t ~decide =
     Profile.stop Profile.Perturb p0;
     if telemetry && Option.is_some perturb then Metrics.incr m_perturbed_slots;
     let p0 = Profile.start () in
-    let outcome =
-      if telemetry then begin
-        let r = Timer.start () in
-        let o = Sinr.resolve_array ?perturb t.sinr ~senders ~nsenders:ntx in
-        Timer.observe_span ~ns:m_resolve_ns ~minor_w:m_resolve_minor
-          (Timer.stop r);
-        o
-      end
-      else Sinr.resolve_array ?perturb t.sinr ~senders ~nsenders:ntx
-    in
+    let outcome = t.outcome in
+    if telemetry then begin
+      let r = Timer.start () in
+      Sinr.resolve_array ?perturb t.sinr ~senders ~nsenders:ntx ~into:outcome;
+      Timer.observe_span ~ns:m_resolve_ns ~minor_w:m_resolve_minor
+        (Timer.stop r)
+    end
+    else Sinr.resolve_array ?perturb t.sinr ~senders ~nsenders:ntx ~into:outcome;
     Profile.stop Profile.Resolve p0;
     let any_in_range u =
       let rec go i =
@@ -242,8 +244,8 @@ let step ?on_deliver t ~decide =
     let p0 = Profile.start () in
     for u = 0 to n - 1 do
       if not (State.Bits.get crashed u) then
-        match outcome.(u) with
-        | Some v ->
+        let v = outcome.(u) in
+        if v >= 0 then
           (match messages.(v) with
            | Some m ->
              (* Cached-gain lookup: same value as power_between on the two
@@ -261,7 +263,7 @@ let step ?on_deliver t ~decide =
              incr ndeliv;
              if t.wake_on_receive then wake t u
            | None -> assert false)
-        | None ->
+        else
           (* An awake listener that decoded nothing: either some sender was
              within range (collision / interference loss) or none was
              (silence).  The node itself cannot tell (no collision

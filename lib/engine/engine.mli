@@ -60,7 +60,10 @@ val step :
   ?on_deliver:('m delivery -> unit) -> 'm t -> decide:(int -> 'm action) ->
   'm delivery list
 (** Run one slot. [decide] is consulted only for awake, non-crashed nodes;
-    all others listen. Returns the slot's deliveries. *)
+    all others listen. Returns the slot's deliveries. [on_deliver] is
+    called once per delivery, while the engine is still walking the slot's
+    outcome buffer: it must not step the same engine (directly or through
+    {!run}), or the inner slot overwrites the outer one's buffers. *)
 
 val run :
   ?on_deliver:('m delivery -> unit) ->

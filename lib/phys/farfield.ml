@@ -149,12 +149,13 @@ let bucket t ~ids ~nsend =
   done;
   { occupied; counts; starts; members }
 
-(* Score every listener against the bucketed senders, writing decisions
-   into [result].  Near cells read the listener's cached power row (fetched
-   lazily, only for listeners that actually have a near cell — filled into
-   [scratch] past the cache cap); far cells contribute one aggregate term
-   each. *)
-let resolve_into t ~cache ~scratch ~slot:s ~mark ~result =
+(* Score every listener against the bucketed senders, writing decoded
+   senders into [result].  Near cells read the listener's cached power row
+   (fetched lazily, only for listeners that actually have a near cell —
+   past the cache cap only the senders [ids] are evaluated into [scratch],
+   and near-cell members are a subset of them); far cells contribute one
+   aggregate term each. *)
+let resolve_into t ~cache ~scratch ~ids ~nsend ~slot:s ~mark ~result =
   let nocc = Array.length s.occupied in
   let telemetry = Metrics.is_enabled () in
   let near_links = ref 0 and pruned = ref 0 and far_cells = ref 0 in
@@ -166,7 +167,7 @@ let resolve_into t ~cache ~scratch ~slot:s ~mark ~result =
         match !row with
         | Some r -> r
         | None ->
-          let r = Gain_cache.row cache u ~scratch in
+          let r = Gain_cache.row cache u ~ids ~nsend ~scratch in
           row := Some r;
           r
       in
@@ -201,7 +202,7 @@ let resolve_into t ~cache ~scratch ~slot:s ~mark ~result =
         end
       done;
       if !best >= 0 && !best_pw >= t.beta *. (t.noise +. !total -. !best_pw)
-      then result.(u) <- Some !best
+      then result.(u) <- !best
     end
   done;
   if telemetry then begin
@@ -211,7 +212,8 @@ let resolve_into t ~cache ~scratch ~slot:s ~mark ~result =
   end
 
 let resolve t ~cache ~scratch ~ids ~nsend ~mark ~result =
-  resolve_into t ~cache ~scratch ~slot:(bucket t ~ids ~nsend) ~mark ~result
+  resolve_into t ~cache ~scratch ~ids ~nsend ~slot:(bucket t ~ids ~nsend)
+    ~mark ~result
 
 (* The approximated total interference at a node — what resolve's [total]
    accumulator sees, exposed so tests can assert the eps_I bound against

@@ -25,11 +25,12 @@ val cell_size : t -> float
 
 val resolve :
   t -> cache:Gain_cache.t -> scratch:Float.Array.t -> ids:int array ->
-  nsend:int -> mark:Bytes.t -> result:int option array -> unit
+  nsend:int -> mark:Bytes.t -> result:int array -> unit
 (** Score every listener ([mark.(u) = '\000']) against the first [nsend]
-    senders of [ids], writing at most one decoded sender per listener
-    into [result]. Near-cell powers read the listener's cached row
-    ([scratch], length [>= n], holds rows past the cache cap). *)
+    senders of [ids], writing the decoded sender of each listener that
+    decodes one into [result] (other entries are left untouched).
+    Near-cell powers read the listener's cached row ([scratch], length
+    [>= n], receives the senders' entries past the cache cap). *)
 
 val interference : t -> receiver:int -> senders:int list -> float
 (** The approximated total interference at a node, for asserting the

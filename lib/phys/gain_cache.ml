@@ -27,23 +27,27 @@
      [phys.cache.bypassed].
    - Byte budget: below the ceiling, rows fill lazily (first touch wins)
      until the configured byte budget (Phys_tuning.cache_cap_bytes at
-     Sinr.create time) is spent; past the cap a row is computed into the
-     caller's per-domain scratch buffer and not retained.  Row publication
+     Sinr.create time) is spent; past the cap only the slot's senders'
+     entries are computed into the caller's per-domain scratch buffer and
+     nothing is retained.  A miss therefore costs O(|S|), as the seed
+     kernel does, instead of an O(n) row fill.  Row publication
      goes through an [Atomic.t] per row, so concurrent Pool workers (the
      Reliability Monte-Carlo) either see a fully initialized row or build
      their own — a lost race wastes one row fill of identical values,
      never correctness.
 
    Telemetry (when Sinr_obs.Metrics is enabled): phys.cache.hits,
-   phys.cache.fills (rows retained), phys.cache.scratch_rows (rows
-   recomputed past the cap), phys.cache.bypassed (caches refused at the
-   node ceiling). *)
+   phys.cache.fills (rows retained), phys.cache.scratch_rows (listener
+   lookups served from scratch past the cap or under the bypass),
+   phys.cache.miss_pairs (entries evaluated on those misses: |S| per
+   miss), phys.cache.bypassed (caches refused at the node ceiling). *)
 
 open Sinr_obs
 
 let m_hits = Metrics.counter "phys.cache.hits"
 let m_fills = Metrics.counter "phys.cache.fills"
 let m_scratch = Metrics.counter "phys.cache.scratch_rows"
+let m_miss_pairs = Metrics.counter "phys.cache.miss_pairs"
 let m_bypassed = Metrics.counter "phys.cache.bypassed"
 
 type t = {
@@ -99,12 +103,24 @@ let rec reserve t =
   c < t.max_rows
   && (Atomic.compare_and_set t.reserved c (c + 1) || reserve t)
 
-let row t u ~scratch =
-  if t.bypassed then begin
-    Metrics.incr m_scratch;
-    fill_into t u scratch;
-    scratch
-  end
+(* A miss: evaluate only the senders' entries of receiver [u]'s row into
+   [scratch].  Every other entry is left as an earlier listener or slot
+   wrote it; the kernels read exactly [ids.(0 .. nsend-1)]. *)
+let fill_senders t u ~ids ~nsend (dst : Float.Array.t) =
+  Metrics.incr m_scratch;
+  Metrics.add m_miss_pairs nsend;
+  let soa = t.soa in
+  let ux = Soa.unsafe_x soa u and uy = Soa.unsafe_y soa u in
+  for k = 0 to nsend - 1 do
+    let v = Array.unsafe_get ids k in
+    Float.Array.unsafe_set dst v
+      (if v = u then 0.
+       else t.power /. (Soa.dist_to soa v ~x:ux ~y:uy ** t.alpha))
+  done;
+  dst
+
+let row t u ~ids ~nsend ~scratch =
+  if t.bypassed then fill_senders t u ~ids ~nsend scratch
   else
     match Atomic.get t.rows.(u) with
     | Some r ->
@@ -118,11 +134,7 @@ let row t u ~scratch =
         Metrics.incr m_fills;
         r
       end
-      else begin
-        Metrics.incr m_scratch;
-        fill_into t u scratch;
-        scratch
-      end
+      else fill_senders t u ~ids ~nsend scratch
 
 (* Single-pair lookup (engine delivery power): O(1) when the receiver's
    row is resident, otherwise one direct evaluation — never a row fill. *)

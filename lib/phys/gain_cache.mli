@@ -5,7 +5,8 @@
     reading the cache is bit-identical to computing on the fly. Rows fill
     lazily (first touch wins, atomic publication — safe under
     [Sinr_par.Pool] workers) until the byte budget is spent; past the cap
-    rows are recomputed into the caller's scratch buffer.
+    a lookup evaluates only the slot's senders into the caller's scratch
+    buffer, so a miss costs O(|S|) rather than O(n).
 
     When the node count exceeds [node_ceiling] the cache is refused
     outright before any allocation: no row-pointer array exists, every
@@ -27,12 +28,19 @@ val bypassed : t -> bool
 val rows_cached : t -> int
 val bytes_cached : t -> int
 
-val row : t -> int -> scratch:Float.Array.t -> Float.Array.t
-(** [row t u ~scratch] is receiver [u]'s power row: index [v] holds the
-    received power of a transmission from [v] at [u] (diagonal 0, never
-    meaningful). Returns the resident row, or fills [scratch] (length
-    [>= n t]) and returns it when the cap is exhausted or the cache is
-    bypassed. *)
+val row :
+  t -> int -> ids:int array -> nsend:int -> scratch:Float.Array.t ->
+  Float.Array.t
+(** [row t u ~ids ~nsend ~scratch] is receiver [u]'s power row, valid at
+    the senders [ids.(0 .. nsend-1)]: index [v] holds the received power
+    of a transmission from [v] at [u] (diagonal 0, never meaningful).
+    Returns the resident row (every entry valid), filling and retaining
+    it on first touch while the byte budget lasts. Past the budget, or
+    when the cache is bypassed, it writes only the senders' entries of
+    [scratch] (length [>= n t]) and returns it: the other entries are
+    whatever an earlier lookup left there and must not be read. Each such
+    miss ticks [phys.cache.scratch_rows] once and [phys.cache.miss_pairs]
+    by [nsend]. *)
 
 val pair : t -> sender:int -> receiver:int -> float
 (** One entry: cached when the receiver's row is resident, otherwise a

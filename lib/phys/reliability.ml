@@ -38,12 +38,12 @@ let estimate ?(trials = 400) ?jobs sinr rng ~set ~p ~mu =
   let pos = Array.make n (-1) in
   Array.iteri (fun i v -> pos.(v) <- i) members;
   (* One independent slot simulation, tallying into [counts].  The slot's
-     senders are drawn into [scratch] (reused across the chunk's trials —
-     no per-trial list allocation) by one bernoulli draw per member in
+     senders are drawn into [scratch] by one bernoulli draw per member in
      member-index order: exactly the draw order of the seed's
      [Array.to_list members |> List.filter], so estimates stay
-     bit-identical. *)
-  let run_trial counts scratch t =
+     bit-identical.  [scratch] and the [outcome] buffer are reused across
+     the chunk's trials, so a trial allocates no list and no array. *)
+  let run_trial counts scratch outcome t =
     let trng = Sinr_geom.Rng.split rng ~key:t in
     let nsend = ref 0 in
     for i = 0 to m - 1 do
@@ -53,14 +53,14 @@ let estimate ?(trials = 400) ?jobs sinr rng ~set ~p ~mu =
       end
     done;
     if !nsend > 0 then begin
-      let outcome = Sinr.resolve_array sinr ~senders:scratch ~nsenders:!nsend in
+      Sinr.resolve_array sinr ~senders:scratch ~nsenders:!nsend ~into:outcome;
       Array.iter
         (fun u ->
-          match outcome.(u) with
-          | Some v when in_set.(v) ->
+          let v = outcome.(u) in
+          if v >= 0 && in_set.(v) then begin
             let iu = pos.(u) and iv = pos.(v) in
             counts.((iu * m) + iv) <- counts.((iu * m) + iv) + 1
-          | Some _ | None -> ())
+          end)
         members
     end
   in
@@ -70,9 +70,9 @@ let estimate ?(trials = 400) ?jobs sinr rng ~set ~p ~mu =
   let counts =
     if jobs = 1 then begin
       let counts = Array.make (m * m) 0 in
-      let scratch = Array.make m 0 in
+      let scratch = Array.make m 0 and outcome = Array.make n (-1) in
       for t = 0 to trials - 1 do
-        run_trial counts scratch t
+        run_trial counts scratch outcome t
       done;
       counts
     end
@@ -86,10 +86,10 @@ let estimate ?(trials = 400) ?jobs sinr rng ~set ~p ~mu =
           Pool.map_reduce ~chunk:1 pool ~n:nchunks
             ~map:(fun c ->
               let part = Array.make (m * m) 0 in
-              let scratch = Array.make m 0 in
+              let scratch = Array.make m 0 and outcome = Array.make n (-1) in
               let lo = c * chunk and hi = min trials ((c + 1) * chunk) in
               for t = lo to hi - 1 do
-                run_trial part scratch t
+                run_trial part scratch outcome t
               done;
               part)
             ~reduce:(fun acc part ->

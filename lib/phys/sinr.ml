@@ -145,12 +145,12 @@ let link_sinr t ~senders ~sender:v ~receiver:u =
 (* Per-domain scratch                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Sender ids + membership bitmap, and a row buffer for uncached gain
-   rows.  Held in domain-local storage so Pool workers never share, with
-   a busy flag so reentrant use (a perturb closure calling back into
-   reception) falls back to fresh allocations instead of aliasing.  The
-   bitmap invariant: all-zero between uses (resolve clears exactly the
-   bits it set, under Fun.protect). *)
+(* Sender ids + membership bitmap, and a row buffer for the sender
+   entries of uncached gain rows.  Held in domain-local storage so Pool
+   workers never share, with a busy flag so reentrant use (a perturb
+   closure calling back into reception) falls back to fresh allocations
+   instead of aliasing.  The bitmap invariant: all-zero between uses
+   (resolve clears exactly the bits it set, under Fun.protect). *)
 type sender_scratch = {
   mutable ids : int array;
   mutable mark : Bytes.t;
@@ -200,12 +200,14 @@ let with_row ~n f =
    sender array accumulating total power while tracking the strongest
    sender — only the strongest can pass the beta > 1 test.  Iteration
    order matches the seed kernel's list order, so the float accumulation
-   (and therefore every decision) is bit-identical. *)
+   (and therefore every decision) is bit-identical.  A decoded listener's
+   sender goes into [result]; every other entry is left as it was (the
+   caller pre-fills -1). *)
 let score_range t ~ids ~nsend ~mark ~rowbuf ~result ~lo ~hi =
   let beta = t.config.Config.beta and noise = t.config.Config.noise in
   for u = lo to hi do
     if Bytes.unsafe_get mark u = '\000' then begin
-      let row = Gain_cache.row t.cache u ~scratch:rowbuf in
+      let row = Gain_cache.row t.cache u ~ids ~nsend ~scratch:rowbuf in
       let total = ref 0. in
       let best = ref (-1) and best_pw = ref 0. in
       for k = 0 to nsend - 1 do
@@ -218,7 +220,7 @@ let score_range t ~ids ~nsend ~mark ~rowbuf ~result ~lo ~hi =
         end
       done;
       if !best >= 0 && !best_pw >= beta *. (noise +. !total -. !best_pw)
-      then result.(u) <- Some !best
+      then result.(u) <- !best
     end
   done
 
@@ -229,7 +231,7 @@ let score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~result ~lo ~hi =
   let beta = t.config.Config.beta and noise = t.config.Config.noise in
   for u = lo to hi do
     if Bytes.unsafe_get mark u = '\000' then begin
-      let row = Gain_cache.row t.cache u ~scratch:rowbuf in
+      let row = Gain_cache.row t.cache u ~ids ~nsend ~scratch:rowbuf in
       let total = ref 0. in
       let best = ref (-1) and best_pw = ref 0. in
       for k = 0 to nsend - 1 do
@@ -243,7 +245,7 @@ let score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~result ~lo ~hi =
       done;
       let noise = noise *. p.noise_factor u in
       if !best >= 0 && !best_pw >= beta *. (noise +. !total -. !best_pw)
-      then result.(u) <- Some !best
+      then result.(u) <- !best
     end
   done
 
@@ -251,10 +253,12 @@ let score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~result ~lo ~hi =
    slots run the sequential perturbed kernel (adversary closures are not
    required to be domain-safe); clean slots run the far-field kernel when
    one is installed, fan listeners out over the shared pool past the
-   parallelism threshold, and otherwise run the sequential cached kernel. *)
-let resolve_marked ?perturb t ~ids ~nsend ~mark =
+   parallelism threshold, and otherwise run the sequential cached kernel.
+   [result] (length >= n) is reset to -1 first; decoded listeners then get
+   their sender. *)
+let resolve_marked ?perturb t ~ids ~nsend ~mark ~result =
   let n = Soa.length t.soa in
-  let result = Array.make n None in
+  Array.fill result 0 n (-1);
   if nsend > 0 then begin
     let telemetry = Metrics.is_enabled () in
     let run () =
@@ -317,8 +321,7 @@ let resolve_marked ?perturb t ~ids ~nsend ~mark =
       Metrics.observe m_resolve_ns ((Timer.stop r).Timer.wall_s *. 1e9)
     end
     else run ()
-  end;
-  result
+  end
 
 (* Copy + validate the sender list into scratch, then set the membership
    bitmap.  Validation happens before any bit is set, so a raise leaves
@@ -341,26 +344,16 @@ let clear_marks mark ids nsend =
     Bytes.unsafe_set mark (Array.unsafe_get ids i) '\000'
   done
 
-(* Resolve a whole slot: for every node, the sender it decodes (None for
-   transmitters and for listeners that decode nothing).  O(|S| * n).
-   [perturb] applies the slot's adversarial channel state; omitting it is
-   the clean-channel fast path. *)
-let resolve ?perturb t ~senders =
-  let n = Soa.length t.soa in
-  let count = List.length senders in
-  with_senders ~count ~n @@ fun sc ->
-  let nsend = load_senders ~who:"Sinr.resolve" ~n sc senders in
-  Fun.protect
-    ~finally:(fun () -> clear_marks sc.mark sc.ids nsend)
-    (fun () -> resolve_marked ?perturb t ~ids:sc.ids ~nsend ~mark:sc.mark)
-
-(* Array-scratch entry point (Reliability's Monte-Carlo trials): the first
-   [nsenders] entries of [senders] transmit; the caller's array is only
-   read. *)
-let resolve_array ?perturb t ~senders ~nsenders =
+(* Array entry point (the engine's slot loop, Reliability's Monte-Carlo
+   trials): the first [nsenders] entries of [senders] transmit, and the
+   outcome goes into the caller's [into] — nothing is allocated per call.
+   The caller's [senders] array is only read. *)
+let resolve_array ?perturb t ~senders ~nsenders ~into =
   let n = Soa.length t.soa in
   if nsenders < 0 || nsenders > Array.length senders then
     invalid_arg "Sinr.resolve_array: nsenders out of bounds";
+  if Array.length into < n then
+    invalid_arg "Sinr.resolve_array: outcome buffer shorter than n";
   for k = 0 to nsenders - 1 do
     let s = Array.unsafe_get senders k in
     if s < 0 || s >= n then invalid_arg "Sinr.resolve: sender out of range"
@@ -371,7 +364,19 @@ let resolve_array ?perturb t ~senders ~nsenders =
   done;
   Fun.protect
     ~finally:(fun () -> clear_marks sc.mark senders nsenders)
-    (fun () -> resolve_marked ?perturb t ~ids:senders ~nsend:nsenders ~mark:sc.mark)
+    (fun () ->
+      resolve_marked ?perturb t ~ids:senders ~nsend:nsenders ~mark:sc.mark
+        ~result:into)
+
+(* Resolve a whole slot: for every node, the sender it decodes (None for
+   transmitters and for listeners that decode nothing).  O(|S| * n).
+   [perturb] applies the slot's adversarial channel state; omitting it is
+   the clean-channel fast path. *)
+let resolve ?perturb t ~senders =
+  let senders = Array.of_list senders in
+  let into = Array.make (Soa.length t.soa) (-1) in
+  resolve_array ?perturb t ~senders ~nsenders:(Array.length senders) ~into;
+  Array.map (fun v -> if v < 0 then None else Some v) into
 
 (* Single-listener reception through the same kernel: O(|S|) to mark the
    membership bitmap (the test [u in senders] is then O(1)), one row read,
@@ -388,7 +393,9 @@ let reception ?perturb t ~senders ~receiver:u =
       if Bytes.get sc.mark u <> '\000' || nsend = 0 then None
       else
         with_row ~n @@ fun rowbuf ->
-        let row = Gain_cache.row t.cache u ~scratch:rowbuf in
+        let row =
+          Gain_cache.row t.cache u ~ids:sc.ids ~nsend ~scratch:rowbuf
+        in
         let p = Option.value perturb ~default:no_perturb in
         let total = ref 0. in
         let best = ref (-1) and best_pw = ref 0. in

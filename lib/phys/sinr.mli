@@ -88,10 +88,17 @@ val resolve : ?perturb:perturb -> t -> senders:int list -> int option array
 (** Per-node decoding outcome for a whole slot, in O(|senders| · n). *)
 
 val resolve_array :
-  ?perturb:perturb -> t -> senders:int array -> nsenders:int -> int option array
+  ?perturb:perturb -> t -> senders:int array -> nsenders:int ->
+  into:int array -> unit
 (** {!resolve} with the senders given as the first [nsenders] entries of a
-    reusable array (only read) — the allocation-free entry point for
-    Monte-Carlo trial loops. *)
+    reusable array (only read), and the outcome written into the
+    caller-owned [into] (length [>= n]): [into.(u)] is the sender [u]
+    decodes, or [-1] for transmitters and for listeners that decode
+    nothing. Every entry below [n] is overwritten, so no outcome of an
+    earlier call survives. The allocation-free entry point for the
+    engine's slot loop and Monte-Carlo trial loops. Raises
+    [Invalid_argument] if [nsenders] exceeds [senders], [into] is shorter
+    than [n], or a sender is out of range. *)
 
 val resolve_reference : ?perturb:perturb -> t -> senders:int list -> int option array
 (** The seed kernel, verbatim: re-derives every link power per pair per

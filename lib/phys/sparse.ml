@@ -319,7 +319,7 @@ let mark_active t sc ~ncells =
   done;
   !nactive
 
-let resolve t ~ids ~nsend ~mark ~(result : int option array) =
+let resolve t ~ids ~nsend ~mark ~(result : int array) =
   if nsend > 0 then
     with_scratch ~cells:(max 1 nsend) ~mcells:(max 1 t.mcells) @@ fun sc ->
     let combo, mask, ncells = bucket t sc ~ids ~nsend in
@@ -389,7 +389,7 @@ let resolve t ~ids ~nsend ~mark ~(result : int option array) =
             if telemetry then near_links := !near_links + near_sz;
             if !best >= 0
                && !best_pw >= beta *. (noise +. !total -. !best_pw)
-            then result.(u) <- Some !best
+            then result.(u) <- !best
           end
         done
       end

@@ -27,10 +27,11 @@ val coarse_cells : t -> int
 
 val resolve :
   t -> ids:int array -> nsend:int -> mark:Bytes.t ->
-  result:int option array -> unit
+  result:int array -> unit
 (** Score every listener against the senders [ids.(0 .. nsend-1)] (whose
-    membership bitmap is [mark]), writing decoded senders into [result].
-    Same calling convention as the exact kernels in [Sinr]. *)
+    membership bitmap is [mark]), writing the decoded sender of each
+    listener that decodes one into [result] (other entries are left
+    untouched). Same calling convention as the exact kernels in [Sinr]. *)
 
 val interference :
   t -> ids:int array -> nsend:int -> receiver:int -> float

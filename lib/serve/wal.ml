@@ -52,20 +52,23 @@ let path ~dir = Filename.concat dir file_name
 (* CRC-32 (IEEE 802.3, reflected), table-driven                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Built eagerly at module initialisation, before any domain can call
+   [crc32]: a [lazy] here is not domain-safe (OCaml 5 raises
+   [CamlinternalLazy.Undefined] when two domains force it at once, as the
+   HTTP and stepping domains of a fresh daemon can). *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun i ->
-         let c = ref (Int32.of_int i) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun i ->
+      let c = ref (Int32.of_int i) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
+  let table = crc_table in
   let c = ref 0xFFFFFFFFl in
   String.iter
     (fun ch ->

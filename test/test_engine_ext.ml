@@ -118,8 +118,62 @@ let test_same_components_standard_workloads () =
   Alcotest.(check bool) "uniform workloads mostly satisfy Thm 12.6" true
     (!ok >= 4)
 
+(* The engine resolves every slot into one reused outcome buffer.  Drive
+   it through a slot where node 1 decodes node 0, one where node 1 decodes
+   nothing, one with no senders and one whose [decide] raises: the next
+   clean slot must deliver exactly what a fresh [Sinr.resolve] decides,
+   with nothing left over from the earlier slots. *)
+exception Decide_failed
+
+let test_outcome_buffer_reuse () =
+  let pts =
+    [| Point.make 0. 0.; Point.make 5. 0.; Point.make 10. 0.;
+       Point.make 100. 0.; Point.make 105. 0. |]
+  in
+  let sinr = Sinr.create cfg pts in
+  let eng : int Engine.t = Engine.create sinr in
+  Engine.wake_all eng;
+  let pairs ds =
+    List.sort compare
+      (List.map (fun d -> (d.Engine.receiver, d.Engine.sender)) ds)
+  in
+  let step_with senders =
+    Engine.step eng ~decide:(fun v ->
+        if List.mem v senders then Engine.Transmit v else Engine.Listen)
+  in
+  let a = step_with [ 0 ] in
+  Alcotest.(check bool) "slot A: node 1 decodes node 0" true
+    (List.mem (1, 0) (pairs a));
+  let b = step_with [ 3 ] in
+  Alcotest.(check bool) "slot B: node 1 decodes nothing" false
+    (List.exists (fun (u, _) -> u = 1) (pairs b));
+  Alcotest.(check (list (pair int int))) "slot C: no senders, no deliveries"
+    [] (pairs (step_with []));
+  Alcotest.(check bool) "slot D: decide raises" true
+    (try
+       ignore
+         (Engine.step eng ~decide:(fun v ->
+              if v = 2 then raise Decide_failed
+              else if v = 0 then Engine.Transmit v
+              else Engine.Listen));
+       false
+     with Decide_failed -> true);
+  let senders = [ 4 ] in
+  let expected =
+    Sinr.resolve sinr ~senders
+    |> Array.to_list
+    |> List.mapi (fun u o -> Option.map (fun v -> (u, v)) o)
+    |> List.filter_map Fun.id
+  in
+  Alcotest.(check (list (pair int int))) "slot E = fresh Sinr.resolve"
+    expected (pairs (step_with senders));
+  Alcotest.(check (list (pair int int))) "slot E decodes only node 3"
+    [ (3, 4) ] expected
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_engine_conservation;
+    Alcotest.test_case "outcome buffer reused across slots" `Quick
+      test_outcome_buffer_reuse;
     Alcotest.test_case "wake idempotent" `Quick test_wake_idempotent;
     Alcotest.test_case "crash excluded from wake_all" `Quick
       test_crash_then_wake_all;

@@ -10,6 +10,10 @@ let cfg = Config.default (* alpha=3 beta=1.5 N=1 eps=0.1, R=12 *)
 
 let outcome = Alcotest.(array (option int))
 
+(* [Sinr.resolve_array]'s int outcome (-1 = nothing decoded) in
+   [Sinr.resolve]'s shape. *)
+let options_of into = Array.map (fun v -> if v < 0 then None else Some v) into
+
 (* A deterministic pseudo-random deployment + sender set per case index. *)
 let random_case rng ~case =
   let r = Rng.split rng ~key:case in
@@ -94,6 +98,126 @@ let test_cache_cap_partial () =
   (* Still exact on a second, different sender set. *)
   check_case ~label:"capped cache, slot 2" sinr ~senders:[ 1; 2 ] ~perturb:None
 
+(* ---------------- sender-only misses across slots ---------------- *)
+
+(* Past the cap a miss evaluates only the slot's senders into the domain's
+   scratch row, so every other entry of that buffer holds whatever an
+   earlier listener or slot wrote.  These cases drive one deployment
+   through successive slots whose sender sets differ (grow, shrink, turn
+   over completely, collapse to one sender), with a cap admitting a few
+   rows, so a kernel that read outside the slot's senders would pick up a
+   stale power and diverge from the seed kernel. *)
+let miss_deployment () =
+  let rng = Rng.create 83 in
+  let pts =
+    Placement.uniform rng ~n:48 ~box:(Box.square ~side:30.) ~min_dist:1.
+  in
+  let n = Array.length pts in
+  let slots =
+    List.init 8 (fun k ->
+        let r = Rng.split rng ~key:k in
+        let p = [| 0.5; 0.1; 0.3; 0.05 |].(k mod 4) in
+        List.filter (fun _ -> Rng.bernoulli r p) (List.init n Fun.id))
+    @ [ [ 5 ]; List.init (n / 2) (fun i -> (2 * i) + 1); [ 0; n - 1 ] ]
+  in
+  (pts, slots)
+
+let with_capped_rows rows n f =
+  let prev = Phys_tuning.cache_cap_bytes () in
+  Phys_tuning.set_cache_cap_bytes (rows * n * 8);
+  Fun.protect ~finally:(fun () -> Phys_tuning.set_cache_cap_bytes prev) f
+
+let test_miss_slots_match_reference () =
+  let pts, slots = miss_deployment () in
+  let n = Array.length pts in
+  with_capped_rows 4 n @@ fun () ->
+  let sinr = Sinr.create cfg pts in
+  let rng = Rng.create 84 in
+  let into = Array.make n 0 in
+  List.iteri
+    (fun k senders ->
+      check_case ~label:(Fmt.str "clean slot %d" k) sinr ~senders
+        ~perturb:None;
+      check_case
+        ~label:(Fmt.str "perturbed slot %d" k)
+        sinr ~senders
+        ~perturb:(Some (perturb_of rng ~case:k));
+      let arr = Array.of_list senders in
+      Sinr.resolve_array sinr ~senders:arr ~nsenders:(Array.length arr) ~into;
+      Alcotest.check outcome
+        (Fmt.str "resolve_array slot %d" k)
+        (Sinr.resolve_reference sinr ~senders)
+        (options_of into))
+    slots;
+  Alcotest.(check int) "rows at cap" 4
+    (Gain_cache.rows_cached (Sinr.gain_cache sinr))
+
+let test_miss_reception_matches_reference () =
+  let pts, slots = miss_deployment () in
+  let n = Array.length pts in
+  with_capped_rows 4 n @@ fun () ->
+  let sinr = Sinr.create cfg pts in
+  let rng = Rng.create 85 in
+  List.iteri
+    (fun k senders ->
+      let p = perturb_of rng ~case:k in
+      let clean = Sinr.resolve_reference sinr ~senders in
+      let pert = Sinr.resolve_reference ~perturb:p sinr ~senders in
+      for u = 0 to n - 1 do
+        Alcotest.(check (option int))
+          (Fmt.str "reception slot %d node %d" k u)
+          clean.(u)
+          (Sinr.reception sinr ~senders ~receiver:u);
+        Alcotest.(check (option int))
+          (Fmt.str "reception perturbed slot %d node %d" k u)
+          pert.(u)
+          (Sinr.reception ~perturb:p sinr ~senders ~receiver:u)
+      done)
+    slots
+
+let test_miss_parallel_matches_reference () =
+  let pts, slots = miss_deployment () in
+  let n = Array.length pts in
+  let prev_thresh = Phys_tuning.par_threshold () in
+  let prev_jobs = Sinr_par.Pool.default_jobs () in
+  Phys_tuning.set_par_threshold 4;
+  Sinr_par.Pool.set_default_jobs 3;
+  Fun.protect
+    ~finally:(fun () ->
+      Phys_tuning.set_par_threshold prev_thresh;
+      Sinr_par.Pool.set_default_jobs prev_jobs)
+  @@ fun () ->
+  with_capped_rows 4 n @@ fun () ->
+  let sinr = Sinr.create cfg pts in
+  (* Twice through the slots: the workers' scratch rows carry over. *)
+  for pass = 0 to 1 do
+    List.iteri
+      (fun k senders ->
+        check_case
+          ~label:(Fmt.str "parallel pass %d slot %d" pass k)
+          sinr ~senders ~perturb:None)
+      slots
+  done
+
+let test_miss_pairs_counted () =
+  let pts, slots = miss_deployment () in
+  let n = Array.length pts in
+  let senders = List.nth slots 0 in
+  let nsend = List.length senders in
+  Sinr_obs.Metrics.reset_for_tests ();
+  Sinr_obs.Metrics.set_enabled true;
+  Fun.protect ~finally:Sinr_obs.Metrics.reset_for_tests @@ fun () ->
+  with_capped_rows 0 n @@ fun () ->
+  let sinr = Sinr.create cfg pts in
+  ignore (Sinr.resolve sinr ~senders);
+  let listeners = n - nsend in
+  Alcotest.(check (option int)) "one scratch row per listener"
+    (Some listeners)
+    (Sinr_obs.Metrics.counter_peek "phys.cache.scratch_rows");
+  Alcotest.(check (option int)) "|S| pairs per miss"
+    (Some (listeners * nsend))
+    (Sinr_obs.Metrics.counter_peek "phys.cache.miss_pairs")
+
 (* ---------------- parallel listener fan-out ---------------- *)
 
 let test_parallel_matches_reference () =
@@ -121,21 +245,29 @@ let test_resolve_array_matches_list () =
   for case = 0 to 39 do
     let pts, senders = random_case rng ~case in
     let sinr = Sinr.create cfg pts in
-    (* Oversized scratch with trailing garbage that must be ignored. *)
+    (* Oversized scratch with trailing garbage that must be ignored, and
+       an outcome buffer full of stale sender ids that must be
+       overwritten. *)
     let scratch = Array.make (Array.length pts + 5) 0 in
     List.iteri (fun i s -> scratch.(i) <- s) senders;
+    let into = Array.make (Array.length pts) 0 in
+    Sinr.resolve_array sinr ~senders:scratch ~nsenders:(List.length senders)
+      ~into;
     Alcotest.check outcome
       (Fmt.str "array case %d" case)
       (Sinr.resolve sinr ~senders)
-      (Sinr.resolve_array sinr ~senders:scratch
-         ~nsenders:(List.length senders))
+      (options_of into)
   done;
+  let sinr = Sinr.create cfg [| Point.make 0. 0.; Point.make 5. 0. |] in
+  let raises f = try f (); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "nsenders bound checked" true
-    (let sinr = Sinr.create cfg [| Point.make 0. 0.; Point.make 5. 0. |] in
-     try
-       ignore (Sinr.resolve_array sinr ~senders:[| 0 |] ~nsenders:2);
-       false
-     with Invalid_argument _ -> true)
+    (raises (fun () ->
+         Sinr.resolve_array sinr ~senders:[| 0 |] ~nsenders:2
+           ~into:(Array.make 2 0)));
+  Alcotest.(check bool) "outcome buffer length checked" true
+    (raises (fun () ->
+         Sinr.resolve_array sinr ~senders:[| 0 |] ~nsenders:1
+           ~into:(Array.make 1 0)))
 
 let test_reception_matches_reference () =
   let rng = Rng.create 76 in
@@ -336,6 +468,14 @@ let suite =
       test_scratch_matches_reference;
     Alcotest.test_case "partial cache cap stays exact" `Quick
       test_cache_cap_partial;
+    Alcotest.test_case "capped misses across slots = seed kernel" `Quick
+      test_miss_slots_match_reference;
+    Alcotest.test_case "capped misses: reception = seed kernel" `Quick
+      test_miss_reception_matches_reference;
+    Alcotest.test_case "capped misses: parallel = seed kernel" `Quick
+      test_miss_parallel_matches_reference;
+    Alcotest.test_case "capped misses: miss_pairs counted" `Quick
+      test_miss_pairs_counted;
     Alcotest.test_case "parallel listeners = seed kernel" `Quick
       test_parallel_matches_reference;
     Alcotest.test_case "resolve_array = resolve" `Quick

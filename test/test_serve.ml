@@ -544,6 +544,36 @@ let test_wal_roundtrip =
       Alcotest.(check (option int)) "appends counted" (Some 4)
         (Metrics.counter_peek "serve.wal.appends"))
 
+(* Several domains hash known vectors at once and must all agree with the
+   published CRC-32 check values: the table behind [crc32] is shared by
+   the daemon's HTTP and stepping domains from their first call. *)
+let test_wal_crc32_concurrent () =
+  let vectors =
+    [ ("", 0l); ("a", 0xE8B7BE43l); ("123456789", 0xCBF43926l);
+      ("The quick brown fox jumps over the lazy dog", 0x414FA339l) ]
+  in
+  let ndomains = 4 in
+  let ready = Atomic.make 0 in
+  let worker () =
+    Atomic.incr ready;
+    while Atomic.get ready < ndomains do Domain.cpu_relax () done;
+    List.init 200 (fun _ -> List.map (fun (s, _) -> Wal.crc32 s) vectors)
+  in
+  let results =
+    List.init ndomains (fun _ -> Domain.spawn worker) |> List.map Domain.join
+  in
+  List.iteri
+    (fun d rounds ->
+      List.iter
+        (fun got ->
+          List.iter2
+            (fun (s, want) c ->
+              Alcotest.(check int32)
+                (Printf.sprintf "domain %d crc32 %S" d s) want c)
+            vectors got)
+        rounds)
+    results
+
 let test_wal_torn_tail =
   with_registry (fun () ->
       let spec = spec_ack [ 2 ] [ 1 ] in
@@ -1204,6 +1234,8 @@ let suite =
       test_http_hardening;
     Alcotest.test_case "wal: encode/append/replay roundtrip" `Quick
       test_wal_roundtrip;
+    Alcotest.test_case "wal: crc32 agrees across domains" `Quick
+      test_wal_crc32_concurrent;
     Alcotest.test_case "wal: torn tail skipped" `Quick test_wal_torn_tail;
     Alcotest.test_case "wal: corruption quarantined" `Quick
       test_wal_corruption;
