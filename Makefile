@@ -27,13 +27,15 @@ chaos-smoke:
 	dune exec bin/sinr_sim.exe -- chaos --seed 3 --n 36 --degree 6 \
 	  --jam 0.5 --crash-frac 0.2 --abort-rate 0.0005
 
-# End-to-end exercise of the physics fast path: the CLI self-check
-# (exits 1 if the cached kernel diverges from the seed kernel), once
-# exact and once in the opt-in far-field mode.
+# End-to-end exercise of the physics fast path: the CLI self-check, once
+# on the exact path (exits 1 unless bit-identical to the seed kernel) and
+# once with the sparse path forced on (exits 1 past its eps interference
+# bound or 3eps decision margin).  n = 400 is large enough for the sparse
+# grid to have far cells to aggregate.
 phys-smoke:
 	dune exec bin/sinr_sim.exe -- phys --seed 3 --n 90 --cases 60
-	dune exec bin/sinr_sim.exe -- phys --seed 3 --n 90 --cases 60 \
-	  --phys-farfield 0.2
+	SINR_SPARSE_THRESHOLD=1 dune exec bin/sinr_sim.exe -- phys --seed 3 \
+	  --n 400 --cases 60
 
 # End-to-end exercise of the tracing layer: a traced run of the full
 # Algorithm 11.1 stack dumping a flight-recorder JSONL, then trace-report

@@ -20,9 +20,10 @@
    /metrics (Prometheus text of the live snapshot), /healthz and /spans
    for its duration, so long sweeps can be scraped mid-flight.
 
-   The run subcommands take --phys-farfield EPS: opt into the grid-pruned
-   far-field interference mode with relative error bound EPS (DESIGN.md
-   "Physics fast path"; default is the exact kernel).
+   The physics path is picked at Sinr.create: exact below
+   $SINR_SPARSE_THRESHOLD nodes (default 4096), the eps-approximate sparse
+   path from it on, with eps from $SINR_SPARSE_EPS (DESIGN.md "Physics fast
+   path").
 
    The run subcommands take --metrics-out FILE: the run executes with the
    telemetry registry enabled and its final snapshot is written to FILE as
@@ -111,24 +112,6 @@ let set_jobs = function
   | None -> ()
   | Some j -> Sinr_par.Pool.set_default_jobs j
 
-let farfield_arg =
-  Arg.(value & opt (some float) None
-       & info [ "phys-farfield" ] ~docv:"EPS"
-           ~doc:"Opt into the grid-pruned far-field interference mode: \
-                 distant senders are aggregated per grid cell with relative \
-                 interference error at most $(docv) (in (0,1)). The default \
-                 is the exact kernel.")
-
-(* The flag lands in the Phys_tuning knob, which every Sinr.create from
-   here on captures. *)
-let set_farfield = function
-  | None -> ()
-  | Some eps ->
-    (try Phys_tuning.set_farfield (Some eps)
-     with Invalid_argument _ ->
-       Fmt.epr "sinr_sim: --phys-farfield expects EPS in (0, 1), got %g@." eps;
-       Stdlib.exit 2)
-
 (* Probe that [path] is creatable/writable before a (possibly long) run so
    a bad path fails fast instead of discarding the finished simulation's
    output.  Append mode: no truncation of an existing file. *)
@@ -161,30 +144,52 @@ let start_server ?handler ?port_file = function
          (Unix.error_message e);
        Stdlib.exit 1)
 
-(* Run [f] with telemetry/tracing per the output flags — and, with --serve,
-   the live HTTP endpoint up for the duration — then write the metric
-   snapshot (JSONL and/or Prometheus) and the flight-recorder dump to
-   their files. *)
-let with_obs ~label ~metrics_out ~prom_out ~trace_out ~serve ?serve_port_file
-    f =
+(* The flags every run subcommand shares: where its observability goes
+   (snapshot files, flight-recorder dump, live HTTP endpoint) and how many
+   worker domains the shared pool gets. *)
+module Run_opts = struct
+  type t = {
+    metrics_out : string option;
+    prom_out : string option;
+    trace_out : string option;
+    jobs : int option;
+    serve : int option;
+    serve_port_file : string option;
+  }
+
+  let v metrics_out prom_out trace_out jobs serve serve_port_file =
+    { metrics_out; prom_out; trace_out; jobs; serve; serve_port_file }
+
+  let term =
+    Term.(const v $ metrics_out_arg $ prom_out_arg $ trace_out_arg $ jobs_arg
+          $ serve_arg $ serve_port_file_arg)
+end
+
+(* Run [f] with the pool sized and telemetry/tracing armed per [o] — and,
+   with --serve, the live HTTP endpoint up for the duration — then write
+   the metric snapshot (JSONL and/or Prometheus) and the flight-recorder
+   dump to their files.  [~metrics:true] enables the registry even when no
+   output asks for it (for commands that print the snapshot themselves). *)
+let with_run ~label ?(metrics = false) (o : Run_opts.t) f =
+  set_jobs o.jobs;
   let need_metrics =
-    metrics_out <> None || prom_out <> None || serve <> None
+    metrics || o.metrics_out <> None || o.prom_out <> None || o.serve <> None
   in
-  if not (need_metrics || trace_out <> None) then f ()
+  if not (need_metrics || o.trace_out <> None) then f ()
   else begin
     List.iter
-      (fun o -> Option.iter probe_writable o)
-      [ metrics_out; prom_out; trace_out;
-        (if serve <> None then serve_port_file else None) ];
+      (Option.iter probe_writable)
+      [ o.metrics_out; o.prom_out; o.trace_out;
+        (if o.serve <> None then o.serve_port_file else None) ];
     if need_metrics then begin
       Metrics.reset ();
       Metrics.set_enabled true
     end;
-    if trace_out <> None then begin
+    if o.trace_out <> None then begin
       Recorder.clear ();
       Recorder.set_enabled true
     end;
-    let server = start_server ?port_file:serve_port_file serve in
+    let server = start_server ?port_file:o.serve_port_file o.serve in
     Fun.protect
       ~finally:(fun () ->
         Option.iter Http.stop server;
@@ -197,18 +202,18 @@ let with_obs ~label ~metrics_out ~prom_out ~trace_out ~serve ?serve_port_file
         (fun path ->
           Sink.write_snapshot ~label path snap;
           Fmt.pr "[metrics written: %s]@." path)
-        metrics_out;
+        o.metrics_out;
       Option.iter
         (fun path ->
           Sink.write_file path (Sink.snapshot_to_prometheus snap);
           Fmt.pr "[prometheus written: %s]@." path)
-        prom_out
+        o.prom_out
     end;
     Option.iter
       (fun path ->
         let p = Recorder.dump ~path ~reason:label () in
         Fmt.pr "[trace written: %s]@." p)
-      trace_out
+      o.trace_out
   end
 
 let deployment ~seed ~n ~degree ~range =
@@ -237,13 +242,8 @@ let profile_cmd =
 (* ---------------- smb ---------------- *)
 
 let smb_cmd =
-  let run seed n degree range farfield metrics_out prom_out trace_out jobs
-      serve serve_port_file =
-    set_jobs jobs;
-    set_farfield farfield;
-    with_obs ~label:"smb" ~metrics_out ~prom_out ~trace_out ~serve
-      ?serve_port_file
-    @@ fun () ->
+  let run seed n degree range opts =
+    with_run ~label:"smb" opts @@ fun () ->
     let d = deployment ~seed ~n ~degree ~range in
     pp_profile d;
     let budget = 40_000_000 in
@@ -277,9 +277,8 @@ let smb_cmd =
   Cmd.v
     (Cmd.info "smb"
        ~doc:"Global single-message broadcast: ours vs the baselines.")
-    Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ farfield_arg
-          $ metrics_out_arg $ prom_out_arg $ trace_out_arg $ jobs_arg
-          $ serve_arg $ serve_port_file_arg)
+    Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg
+          $ Run_opts.term)
 
 (* ---------------- cons ---------------- *)
 
@@ -288,13 +287,8 @@ let cons_cmd =
     Arg.(value & opt int 0
          & info [ "crashes" ] ~docv:"K" ~doc:"Crash K nodes mid-run.")
   in
-  let run seed n degree range crashes farfield metrics_out prom_out trace_out
-      jobs serve serve_port_file =
-    set_jobs jobs;
-    set_farfield farfield;
-    with_obs ~label:"cons" ~metrics_out ~prom_out ~trace_out ~serve
-      ?serve_port_file
-    @@ fun () ->
+  let run seed n degree range crashes opts =
+    with_run ~label:"cons" opts @@ fun () ->
     let d = deployment ~seed ~n ~degree ~range in
     pp_profile d;
     let rng = Rng.create (seed + 10) in
@@ -322,19 +316,13 @@ let cons_cmd =
   Cmd.v
     (Cmd.info "cons" ~doc:"Network-wide consensus over the absMAC.")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ crashes_arg
-          $ farfield_arg $ metrics_out_arg $ prom_out_arg $ trace_out_arg
-          $ jobs_arg $ serve_arg $ serve_port_file_arg)
+          $ Run_opts.term)
 
 (* ---------------- approg ---------------- *)
 
 let approg_cmd =
-  let run seed n degree range farfield metrics_out prom_out trace_out jobs
-      serve serve_port_file =
-    set_jobs jobs;
-    set_farfield farfield;
-    with_obs ~label:"approg" ~metrics_out ~prom_out ~trace_out ~serve
-      ?serve_port_file
-    @@ fun () ->
+  let run seed n degree range opts =
+    with_run ~label:"approg" opts @@ fun () ->
     let d = deployment ~seed ~n ~degree ~range in
     pp_profile d;
     let senders = List.filter (fun v -> v mod 2 = 0) (List.init n Fun.id) in
@@ -372,9 +360,8 @@ let approg_cmd =
   Cmd.v
     (Cmd.info "approg"
        ~doc:"Measure approximate progress of Algorithm 9.1 on a deployment.")
-    Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ farfield_arg
-          $ metrics_out_arg $ prom_out_arg $ trace_out_arg $ jobs_arg
-          $ serve_arg $ serve_port_file_arg)
+    Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg
+          $ Run_opts.term)
 
 (* ---------------- chaos ---------------- *)
 
@@ -412,13 +399,8 @@ let chaos_cmd =
              ~doc:"Per-slot probability that each busy node's broadcast is \
                    adversarially aborted.")
   in
-  let run seed n degree jam fading crash_frac downtime abort_rate farfield
-      metrics_out prom_out trace_out jobs serve serve_port_file =
-    set_jobs jobs;
-    set_farfield farfield;
-    with_obs ~label:"chaos" ~metrics_out ~prom_out ~trace_out ~serve
-      ?serve_port_file
-    @@ fun () ->
+  let run seed n degree jam fading crash_frac downtime abort_rate opts =
+    with_run ~label:"chaos" opts @@ fun () ->
     let spec =
       { Exp_chaos.clean with
         Exp_chaos.jam_duty = jam;
@@ -454,9 +436,7 @@ let chaos_cmd =
        ~doc:"Run the absMAC under adversarial channel conditions and \
              faults, and report the degradation.")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ jam_arg $ fading_arg
-          $ crash_frac_arg $ downtime_arg $ abort_rate_arg $ farfield_arg
-          $ metrics_out_arg $ prom_out_arg $ trace_out_arg $ jobs_arg
-          $ serve_arg $ serve_port_file_arg)
+          $ crash_frac_arg $ downtime_arg $ abort_rate_arg $ Run_opts.term)
 
 (* ---------------- exp ---------------- *)
 
@@ -468,11 +448,8 @@ let exp_cmd =
                    table1-approg, thm8-decay, table2-smb, table1-mmb, \
                    table1-cons, ablation, mac-compare, capacity, chaos).")
   in
-  let run id metrics_out prom_out trace_out jobs serve serve_port_file =
-    set_jobs jobs;
-    with_obs ~label:("exp:" ^ id) ~metrics_out ~prom_out ~trace_out ~serve
-      ?serve_port_file
-    @@ fun () ->
+  let run id opts =
+    with_run ~label:("exp:" ^ id) opts @@ fun () ->
     match id with
     | "table1-ack" -> ignore (Exp_ack.run ())
     | "fig1-progress-lb" -> ignore (Exp_progress_lb.run ())
@@ -498,8 +475,7 @@ let exp_cmd =
   in
   Cmd.v
     (Cmd.info "exp" ~doc:"Run a named experiment (see DESIGN.md index).")
-    Term.(const run $ id_arg $ metrics_out_arg $ prom_out_arg $ trace_out_arg
-          $ jobs_arg $ serve_arg $ serve_port_file_arg)
+    Term.(const run $ id_arg $ Run_opts.term)
 
 (* ---------------- obs ---------------- *)
 
@@ -523,56 +499,28 @@ let obs_cmd =
          & info [ "max-slots" ] ~docv:"SLOTS"
              ~doc:"Slot budget for the instrumented workload.")
   in
-  let run seed n degree range format max_slots metrics_out prom_out trace_out
-      serve serve_port_file =
-    List.iter (Option.iter probe_writable) [ metrics_out; prom_out; trace_out ];
+  let run seed n degree range format max_slots opts =
+    with_run ~label:"obs" ~metrics:true opts @@ fun () ->
     let d = deployment ~seed ~n ~degree ~range in
     let senders = List.filter (fun v -> v mod 2 = 0) (List.init n Fun.id) in
-    Metrics.reset ();
-    Metrics.set_enabled true;
-    if trace_out <> None then begin
-      Recorder.clear ();
-      Recorder.set_enabled true
-    end;
-    let server = start_server ?port_file:serve_port_file serve in
-    Fun.protect
-      ~finally:(fun () ->
-        Option.iter Http.stop server;
-        Metrics.set_enabled false;
-        Recorder.set_enabled false)
-      (fun () ->
-        ignore
-          (Sinr_mac.Measure.acks d.Workloads.sinr
-             ~rng:(Rng.create (seed + 4))
-             ~senders ~max_slots));
+    ignore
+      (Sinr_mac.Measure.acks d.Workloads.sinr
+         ~rng:(Rng.create (seed + 4))
+         ~senders ~max_slots);
     let snap = Metrics.snapshot () in
-    (match format with
-     | `Pretty -> Fmt.pr "%a" Sink.pp_snapshot snap
-     | `Json -> print_string (Sink.snapshot_to_jsonl ~label:"obs" snap)
-     | `Prom -> print_string (Sink.snapshot_to_prometheus snap));
-    (match metrics_out with
-     | None -> ()
-     | Some path ->
-       Sink.write_snapshot ~label:"obs" path snap;
-       Fmt.pr "[metrics written: %s]@." path);
-    (match prom_out with
-     | None -> ()
-     | Some path ->
-       Sink.write_file path (Sink.snapshot_to_prometheus snap);
-       Fmt.pr "[prometheus written: %s]@." path);
-    match trace_out with
-    | None -> ()
-    | Some path ->
-      ignore (Recorder.dump ~path ~reason:"obs" ());
-      Fmt.pr "[trace written: %s]@." path
+    match format with
+    | `Pretty -> Fmt.pr "%a" Sink.pp_snapshot snap
+    | `Json -> print_string (Sink.snapshot_to_jsonl ~label:"obs" snap)
+    | `Prom -> print_string (Sink.snapshot_to_prometheus snap)
   in
   Cmd.v
     (Cmd.info "obs"
        ~doc:"Run an instrumented absMAC workload and print the telemetry \
              snapshot.")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ format_arg
-          $ slots_arg $ metrics_out_arg $ prom_out_arg $ trace_out_arg
-          $ serve_arg $ serve_port_file_arg)
+          $ slots_arg
+          $ (const Run_opts.v $ metrics_out_arg $ prom_out_arg $ trace_out_arg
+             $ const None $ serve_arg $ serve_port_file_arg))
 
 (* ---------------- trace-report ---------------- *)
 
@@ -647,78 +595,112 @@ let trace_report_cmd =
 (* ---------------- phys ---------------- *)
 
 (* Self-check of the physics fast path (DESIGN.md "Physics fast path"):
-   resolve the same random slots through the cached kernel and through the
-   seed kernel (Sinr.resolve_reference) and demand bit-identical outcomes;
-   then a small throughput sample and, when --phys-farfield is given, the
-   observed far-field interference error against its eps bound.  Exits 1 on
-   any mismatch, so `make phys-smoke` can gate CI on it. *)
+   resolve the same random slots through Sinr.resolve and through the seed
+   kernel (Sinr.resolve_reference).  The exact path must be bit-identical.
+   The sparse path (installed from $SINR_SPARSE_THRESHOLD nodes on) must
+   keep its interference within eps of the exact sum, and may change a
+   decision only where the exact SINR lies within the 3eps margin of the
+   beta test.  Then a small throughput sample.  Exits 1 on any violation,
+   so `make phys-smoke` can gate CI on it. *)
 let phys_cmd =
   let cases_arg =
     Arg.(value & opt int 80
          & info [ "cases" ] ~docv:"K"
              ~doc:"Number of random slots to check for equivalence.")
   in
-  let run seed n degree range cases farfield metrics_out prom_out trace_out
-      jobs serve serve_port_file =
-    set_jobs jobs;
-    set_farfield farfield;
-    with_obs ~label:"phys" ~metrics_out ~prom_out ~trace_out ~serve
-      ?serve_port_file
-    @@ fun () ->
+  let run seed n degree range cases opts =
+    with_run ~label:"phys" opts @@ fun () ->
     let d = deployment ~seed ~n ~degree ~range in
     let sinr = d.Workloads.sinr in
     let n = Sinr.n sinr in
+    let cfg = Sinr.config sinr in
+    let pts = Sinr.points sinr in
+    let sparse = Sinr.sparse sinr in
     let rng = Rng.create (seed + 20) in
     let slot_senders case =
       let r = Rng.split rng ~key:case in
       List.filter (fun _ -> Rng.bernoulli r 0.3) (List.init n Fun.id)
     in
-    (* Equivalence: exact unless the far-field mode was requested. *)
-    let mismatches = ref 0 and checked = ref 0 in
+    (* A sparse decision may differ from the seed kernel's only where the
+       exact SINR of the strongest sender is within the 3eps margin of the
+       beta test: the best sender is scored exactly and the interference
+       is off by at most eps. *)
+    let within_margin eps ~senders u =
+      let at = pts.(u) in
+      let best =
+        List.fold_left
+          (fun acc v ->
+            Float.max acc (Sinr.power_between sinr ~from:pts.(v) ~at))
+          0. senders
+      in
+      let total = Sinr.interference_at sinr ~senders ~at in
+      let beta = cfg.Config.beta and noise = cfg.Config.noise in
+      let q = best /. (beta *. (noise +. total -. best)) in
+      q >= 1. /. (1. +. (3. *. eps)) && q <= 1. +. (3. *. eps)
+    in
+    let mismatches = ref 0 and flips = ref 0 and checked = ref 0 in
     for case = 0 to cases - 1 do
       let senders = slot_senders case in
       if senders <> [] then begin
         incr checked;
-        if Sinr.resolve sinr ~senders <> Sinr.resolve_reference sinr ~senders
-        then incr mismatches
+        let fast = Sinr.resolve sinr ~senders in
+        let reference = Sinr.resolve_reference sinr ~senders in
+        match sparse with
+        | None -> if fast <> reference then incr mismatches
+        | Some sp ->
+          let bad = ref false in
+          Array.iteri
+            (fun u r ->
+              if r <> fast.(u) then begin
+                if within_margin (Sparse.eps sp) ~senders u then incr flips
+                else bad := true
+              end)
+            reference;
+          if !bad then incr mismatches
       end
     done;
-    let exact = farfield = None in
-    Fmt.pr "equivalence: %d/%d slots %s (%d mismatch%s)@." (!checked - !mismatches)
-      !checked
-      (if exact then "bit-identical to the seed kernel"
-       else "compared against the exact kernel")
-      !mismatches
-      (if !mismatches = 1 then "" else "es");
-    (* Far-field error sample: the observed relative interference error
-       must stay within the advertised eps bound. *)
-    (match Sinr.farfield sinr with
+    let plural k = if k = 1 then "" else "es" in
+    (match sparse with
+     | None ->
+       Fmt.pr "equivalence: %d/%d slots bit-identical to the seed kernel \
+               (%d mismatch%s)@."
+         (!checked - !mismatches) !checked !mismatches (plural !mismatches)
+     | Some sp ->
+       Fmt.pr "equivalence: %d/%d slots match the seed kernel up to the \
+               3eps decision margin (sparse path, eps=%.3f; flips inside \
+               the margin: %d; %d mismatch%s)@."
+         (!checked - !mismatches) !checked (Sparse.eps sp) !flips
+         !mismatches (plural !mismatches));
+    (* Sparse error sample: the observed relative interference error must
+       stay within the advertised eps bound. *)
+    (match sparse with
      | None -> ()
-     | Some ff ->
+     | Some sp ->
        let worst = ref 0. in
        for case = 0 to min 19 (cases - 1) do
          let senders = slot_senders case in
-         if senders <> [] then
+         let ids = Array.of_list senders in
+         let nsend = Array.length ids in
+         if nsend > 0 then
            for u = 0 to n - 1 do
              if not (List.mem u senders) then begin
-               let exact =
-                 Sinr.interference_at sinr ~senders ~at:(Sinr.points sinr).(u)
-               in
-               let approx = Farfield.interference ff ~receiver:u ~senders in
+               let exact = Sinr.interference_at sinr ~senders ~at:pts.(u) in
+               let approx = Sparse.interference sp ~ids ~nsend ~receiver:u in
                if exact > 0. then
                  worst := Float.max !worst (Float.abs (approx -. exact) /. exact)
              end
            done
        done;
-       Fmt.pr "farfield: eps=%.3f threshold=%.1f cell=%.1f observed max \
+       Fmt.pr "sparse: eps=%.3f fine cells=%d coarse cells=%d observed max \
                relative interference error %.4f@."
-         (Farfield.eps ff) (Farfield.threshold ff) (Farfield.cell_size ff)
+         (Sparse.eps sp) (Sparse.fine_cells sp) (Sparse.coarse_cells sp)
          !worst;
-       if !worst > Farfield.eps ff then begin
-         Fmt.epr "sinr_sim phys: far-field error exceeds its eps bound@.";
+       if !worst > Sparse.eps sp then begin
+         Fmt.epr "sinr_sim phys: sparse interference error exceeds its eps \
+                  bound@.";
          Stdlib.exit 1
        end);
-    (* Throughput sample: cached kernel vs seed kernel on one busy slot. *)
+    (* Throughput sample: Sinr.resolve vs seed kernel on one busy slot. *)
     let senders = List.filter (fun v -> v mod 4 = 0) (List.init n Fun.id) in
     let rate f =
       f ();
@@ -730,13 +712,15 @@ let phys_cmd =
       in
       go 1
     in
-    let cached = rate (fun () -> ignore (Sinr.resolve sinr ~senders)) in
+    let fast = rate (fun () -> ignore (Sinr.resolve sinr ~senders)) in
     let reference =
       rate (fun () -> ignore (Sinr.resolve_reference sinr ~senders))
     in
-    Fmt.pr "throughput: n=%d |S|=%d cached %.0f slots/s, seed %.0f slots/s \
+    Fmt.pr "throughput: n=%d |S|=%d %s %.0f slots/s, seed %.0f slots/s \
             (%.1fx)@."
-      n (List.length senders) cached reference (cached /. reference);
+      n (List.length senders)
+      (if sparse = None then "cached" else "sparse")
+      fast reference (fast /. reference);
     let cache = Sinr.gain_cache sinr in
     Fmt.pr "gain cache: %d/%d rows resident, %d bytes (cap admits %d rows)@."
       (Gain_cache.rows_cached cache)
@@ -753,8 +737,7 @@ let phys_cmd =
        ~doc:"Check the physics fast path against the seed kernel (exit 1 \
              on divergence) and sample its throughput.")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ cases_arg
-          $ farfield_arg $ metrics_out_arg $ prom_out_arg $ trace_out_arg
-          $ jobs_arg $ serve_arg $ serve_port_file_arg)
+          $ Run_opts.term)
 
 (* ---------------- scale ---------------- *)
 
@@ -926,9 +909,8 @@ let serve_cmd =
                    dump).")
   in
   let run port port_file dir wal_dir queue_cap checkpoint_every deadline
-      cell_timeout max_retries jobs farfield =
+      cell_timeout max_retries jobs =
     set_jobs jobs;
-    set_farfield farfield;
     let wal_dir = Option.value wal_dir ~default:dir in
     List.iter
       (fun d ->
@@ -1035,7 +1017,7 @@ let serve_cmd =
              resume bit-identically after a crash.")
     Term.(const run $ port_arg $ serve_port_file_arg $ dir_arg $ wal_dir_arg
           $ queue_cap_arg $ checkpoint_arg $ deadline_arg $ cell_timeout_arg
-          $ max_retries_arg $ jobs_arg $ farfield_arg)
+          $ max_retries_arg $ jobs_arg)
 
 (* ---------------- watch ---------------- *)
 
@@ -1181,17 +1163,10 @@ let profile_report_cmd =
          & info [ "max-slots" ] ~docv:"SLOTS"
              ~doc:"Slot budget for the profiled workload.")
   in
-  let run seed n degree range max_slots farfield jobs serve serve_port_file
-      metrics_out prom_out =
-    set_jobs jobs;
-    set_farfield farfield;
-    List.iter (Option.iter probe_writable) [ metrics_out; prom_out ];
+  let run seed n degree range max_slots opts =
+    with_run ~label:"profile-report" opts @@ fun () ->
     let d = deployment ~seed ~n ~degree ~range in
     let senders = List.filter (fun v -> v mod 2 = 0) (List.init n Fun.id) in
-    Metrics.reset ();
-    let server = start_server ?port_file:serve_port_file serve in
-    Fun.protect ~finally:(fun () -> Option.iter Http.stop server)
-    @@ fun () ->
     Profile.with_enabled (fun () ->
         ignore
           (Sinr_mac.Measure.acks d.Workloads.sinr
@@ -1201,27 +1176,15 @@ let profile_report_cmd =
     | None ->
       Fmt.epr "sinr_sim profile-report: no slots were profiled@.";
       Stdlib.exit 1
-    | Some r ->
-      Fmt.pr "%a" Profile.pp_report r;
-      let snap = Metrics.snapshot () in
-      Option.iter
-        (fun path ->
-          Sink.write_snapshot ~label:"profile-report" path snap;
-          Fmt.pr "[metrics written: %s]@." path)
-        metrics_out;
-      Option.iter
-        (fun path ->
-          Sink.write_file path (Sink.snapshot_to_prometheus snap);
-          Fmt.pr "[prometheus written: %s]@." path)
-        prom_out
+    | Some r -> Fmt.pr "%a" Profile.pp_report r
   in
   Cmd.v
     (Cmd.info "profile-report"
        ~doc:"Profile an instrumented absMAC workload and print the \
              per-stage slot-time table (share, p50, p99).")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ slots_arg
-          $ farfield_arg $ jobs_arg $ serve_arg $ serve_port_file_arg
-          $ metrics_out_arg $ prom_out_arg)
+          $ (const Run_opts.v $ metrics_out_arg $ prom_out_arg $ const None
+             $ jobs_arg $ serve_arg $ serve_port_file_arg))
 
 let () =
   let doc = "Local broadcast layer for the SINR network model — simulator" in

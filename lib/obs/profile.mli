@@ -1,6 +1,6 @@
 (** Slot-phase profiler: attributes wall time per [Engine.step] stage
-    (decide, chaos perturb, SINR resolve — with the far-field aggregation
-    as a sub-stage — delivery fan-out, metrics/trace overhead) into log2
+    (decide, chaos perturb, SINR resolve — with the sparse path as a
+    sub-stage — delivery fan-out, metrics/trace overhead) into log2
     histograms named [profile.<stage>.ns].
 
     The histograms live in the normal {!Metrics} registry, so profile rows
@@ -23,7 +23,7 @@ type stage =
   | Decide
   | Perturb
   | Resolve
-  | Farfield  (** sub-stage of [Resolve], timed inside [Sinr.resolve] *)
+  | Sparse  (** sub-stage of [Resolve], timed inside [Sinr.resolve] *)
   | Delivery
   | Telemetry
 
@@ -52,8 +52,8 @@ type report = {
   rows : row list;
       (** top-level stages plus a synthetic "other" (unattributed loop
           scaffolding + profiler overhead); shares sum to ~100% *)
-  farfield : row option;
-      (** the [Farfield] sub-stage when the fast path ran; counted inside
+  sparse : row option;
+      (** the [Sparse] sub-stage when the sparse path ran; counted inside
           resolve, not added to the share sum *)
 }
 

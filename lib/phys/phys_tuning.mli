@@ -1,9 +1,11 @@
 (** Process-global tuning knobs for the physics fast path.
 
-    Performance knobs only — none of them changes a clean-channel
-    resolution outcome (the far-field mode is the one explicitly
-    approximate opt-in, with a bounded interference error). Values are
-    read once per [Sinr.create] and captured in the instance. *)
+    The cache and parallelism knobs never change a clean-channel
+    resolution outcome. The sparse knobs do: a simulator with at least
+    [sparse_threshold] nodes runs the ε-approximate [Sparse] path, whose
+    relative interference error is at most [sparse_eps]; below the
+    threshold resolution is exact. Values are read once per [Sinr.create]
+    and captured in the instance. *)
 
 val cache_cap_bytes : unit -> int
 (** Memory budget for [Gain_cache] rows, in bytes. Default 64 MiB,
@@ -14,14 +16,6 @@ val cache_cap_bytes : unit -> int
 val set_cache_cap_bytes : int -> unit
 (** Clamped to [>= 0]. *)
 
-val farfield_eps : unit -> float option
-(** Relative interference error bound of the grid-pruned far-field mode;
-    [None] (the default) keeps exact semantics. *)
-
-val set_farfield : float option -> unit
-(** Install (or clear) the far-field mode for simulators created from now
-    on. Raises [Invalid_argument] unless the eps lies in (0, 1). *)
-
 val par_threshold : unit -> int
 (** Minimum node count before [Sinr.resolve] fans listeners out over the
     shared [Sinr_par.Pool] (and only when the pool default is > 1 job).
@@ -31,19 +25,19 @@ val set_par_threshold : int -> unit
 (** Clamped to [>= 1]. *)
 
 val sparse_threshold : unit -> int
-(** Node count from which [Sinr.create] (with no explicit far-field mode)
-    installs the sparse cell-aggregated resolution path. Default 4096,
-    overridable with [SINR_SPARSE_THRESHOLD]; a non-positive value
-    disables the automatic switch. Below the threshold resolution stays
-    exact (bit-identical to [resolve_reference]). *)
+(** Node count from which [Sinr.create] installs the sparse
+    cell-aggregated resolution path. Default 4096, overridable with
+    [SINR_SPARSE_THRESHOLD]; a non-positive value disables the automatic
+    switch. Below the threshold resolution stays exact (bit-identical to
+    [resolve_reference]). *)
 
 val set_sparse_threshold : int -> unit
 (** [n <= 0] disables the sparse path for simulators created from now
     on. *)
 
 val sparse_eps : unit -> float
-(** Relative interference error bound of the automatic sparse path (same
-    semantics as the opt-in far-field eps). Default 0.5, overridable with
+(** Relative interference error bound of the automatic sparse path:
+    [|I' - I| <= eps * I]. Default 0.5, overridable with
     [SINR_SPARSE_EPS]. *)
 
 val set_sparse_eps : float -> unit

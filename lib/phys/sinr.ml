@@ -18,10 +18,11 @@
    per slot.  Senders travel as an int array plus a membership bitmap held
    in per-domain scratch (no per-slot list/tuple churn), perturbed gains
    multiply the cached clean-channel power, listeners fan out over
-   [Sinr_par.Pool] past [Phys_tuning.par_threshold], and the opt-in
-   [Farfield] mode aggregates far interference with a bounded eps error.
-   [resolve_reference] keeps the seed kernel verbatim so tests and benches
-   can assert the equivalence. *)
+   [Sinr_par.Pool] past [Phys_tuning.par_threshold], and from
+   [Phys_tuning.sparse_threshold] nodes on the [Sparse] path aggregates
+   far interference with a bounded eps error.  [resolve_reference] keeps
+   the seed kernel verbatim so tests and benches can assert the
+   equivalence. *)
 
 open Sinr_geom
 open Sinr_par
@@ -38,7 +39,6 @@ type t = {
       (* boxed record view, forced only by geometry/graph consumers
          (Induced, Spec_check, the experiments) — never by the hot path *)
   cache : Gain_cache.t;
-  farfield : Farfield.t option;
   sparse : Sparse.t option;
   par_threshold : int;
 }
@@ -48,15 +48,9 @@ type t = {
 let make config soa points =
   (* Tuning knobs are captured here: flipping them later never changes an
      existing simulator. *)
-  let farfield =
-    match Phys_tuning.farfield_eps () with
-    | None -> None
-    | Some eps -> Some (Farfield.create config (Lazy.force points) ~eps)
-  in
   let sparse =
-    (* The explicit opt-in far-field mode wins; otherwise large
-       simulators auto-install the sparse cell-aggregated path. *)
-    if farfield = None && Soa.length soa >= Phys_tuning.sparse_threshold ()
+    (* Large simulators auto-install the sparse cell-aggregated path. *)
+    if Soa.length soa >= Phys_tuning.sparse_threshold ()
     then Some (Sparse.create config soa ~eps:(Phys_tuning.sparse_eps ()))
     else None
   in
@@ -67,7 +61,6 @@ let make config soa points =
       Gain_cache.create config soa
         ~cap_bytes:(Phys_tuning.cache_cap_bytes ())
         ~node_ceiling:(Phys_tuning.cache_node_ceiling ());
-    farfield;
     sparse;
     par_threshold = Phys_tuning.par_threshold () }
 
@@ -97,7 +90,6 @@ let soa t = t.soa
 let points t = Lazy.force t.points
 let n t = Soa.length t.soa
 let gain_cache t = t.cache
-let farfield t = t.farfield
 let sparse t = t.sparse
 
 (* A per-slot channel perturbation, supplied by an adversary (lib/chaos):
@@ -251,7 +243,7 @@ let score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~result ~lo ~hi =
 
 (* Whole-slot resolution over a marked sender set.  Dispatch: perturbed
    slots run the sequential perturbed kernel (adversary closures are not
-   required to be domain-safe); clean slots run the far-field kernel when
+   required to be domain-safe); clean slots run the sparse kernel when
    one is installed, fan listeners out over the shared pool past the
    parallelism threshold, and otherwise run the sequential cached kernel.
    [result] (length >= n) is reset to -1 first; decoded listeners then get
@@ -268,24 +260,16 @@ let resolve_marked ?perturb t ~ids ~nsend ~mark ~result =
             score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~result ~lo:0
               ~hi:(n - 1))
       | None ->
-        (match t.sparse, t.farfield with
-         | Some sp, _ ->
+        (match t.sparse with
+         | Some sp ->
            (* Auto-installed sparse path (n >= Phys_tuning.sparse_threshold):
               occupied-cell iteration, shared per-coarse-cell far sums,
-              exact silent-cell skipping.  Reported under the same
-              profiler sub-stage as the opt-in far-field mode. *)
+              exact silent-cell skipping.  Timed as the profiler's Sparse
+              sub-stage, reported inside Resolve. *)
            let p0 = Profile.start () in
            Sparse.resolve sp ~ids ~nsend ~mark ~result;
-           Profile.stop Profile.Farfield p0
-         | None, Some ff ->
-           (* Slot-phase profiler sub-stage: how much of resolve is the
-              far-field aggregation (reported inside Resolve). *)
-           let p0 = Profile.start () in
-           with_row ~n (fun rowbuf ->
-               Farfield.resolve ff ~cache:t.cache ~scratch:rowbuf ~ids ~nsend
-                 ~mark ~result);
-           Profile.stop Profile.Farfield p0
-         | None, None ->
+           Profile.stop Profile.Sparse p0
+         | None ->
            if n >= t.par_threshold && Pool.default_jobs () > 1 then begin
              let pool = Pool.get () in
              let jobs = Pool.jobs pool in

@@ -17,10 +17,10 @@
      coarse cell share one far-field interference sum, computed once per
      (coarse cell, occupied fine cell) pair.
 
-   Far/near split, as in [Farfield]: a sender cell whose center is at
-   least max(Dmin, R + h) from the listener cell's center contributes its
-   aggregate count * P/d(centers)^alpha; anything closer is scored
-   exactly per listener.  With h the sum of the two cells' half-diagonals
+   Far/near split: a sender cell whose center is at least max(Dmin, R + h)
+   from the listener cell's center contributes its aggregate
+   count * P/d(centers)^alpha; anything closer is scored exactly per
+   listener.  With h the sum of the two cells' half-diagonals
    and Dmin = h / ((1+eps)^(1/alpha) - 1), the far sum's relative error
    is bounded by eps (each far pair's true distance is within [d-h, d+h]
    of the center distance, and d >= Dmin makes the power ratio at most

@@ -13,7 +13,7 @@
 
     Installed automatically by [Sinr.create] at
     [Phys_tuning.sparse_threshold] nodes and above (eps from
-    [Phys_tuning.sparse_eps]) unless an explicit far-field mode is on. *)
+    [Phys_tuning.sparse_eps]). *)
 
 type t
 

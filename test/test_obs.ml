@@ -904,6 +904,14 @@ let test_engine_counters =
 
 (* ---------------- slot-phase profiler ---------------- *)
 
+let check_shares_sum r =
+  let total_share =
+    List.fold_left (fun acc row -> acc +. row.Profile.r_share) 0.
+      r.Profile.rows
+  in
+  if not (total_share >= 99.9 && total_share <= 105.0) then
+    Alcotest.failf "stage shares sum to %.2f%%, expected ~100%%" total_share
+
 let test_profile_report =
   with_registry (fun () ->
       Alcotest.(check bool) "no profiled slots -> no report" true
@@ -934,16 +942,46 @@ let test_profile_report =
             Alcotest.(check bool) (row.Profile.r_stage ^ " share >= 0") true
               (row.Profile.r_share >= 0.))
           r.Profile.rows;
-        let total_share =
-          List.fold_left (fun acc row -> acc +. row.Profile.r_share) 0.
-            r.Profile.rows
-        in
-        if not (total_share >= 99.9 && total_share <= 105.0) then
-          Alcotest.failf "stage shares sum to %.2f%%, expected ~100%%"
-            total_share;
+        check_shares_sum r;
+        Alcotest.(check bool) "exact path has no sparse row" true
+          (r.Profile.sparse = None);
         (* The per-stage histograms flow through the normal snapshot. *)
         Alcotest.(check int) "profile.step.ns in the registry" slots
           (Metrics.histogram_count (Metrics.histogram "profile.step.ns")))
+
+(* Past the sparse threshold every slot with a sender runs the Sparse
+   sub-stage once.  It is timed inside resolve, so it is reported beside
+   the stage rows, never among them, and the shares still sum to ~100%. *)
+let test_profile_sparse_substage =
+  with_registry (fun () ->
+      let prev = Phys_tuning.sparse_threshold () in
+      Phys_tuning.set_sparse_threshold 2;
+      let sinr =
+        Fun.protect
+          ~finally:(fun () -> Phys_tuning.set_sparse_threshold prev)
+          (fun () -> Sinr.create cfg (Placement.line ~n:8 ~spacing:5.))
+      in
+      Alcotest.(check bool) "sparse path installed" true
+        (Sinr.sparse sinr <> None);
+      let slots = 25 in
+      Profile.with_enabled (fun () ->
+          let eng = Engine.create ~wake_on_receive:false sinr in
+          Engine.wake eng 0;
+          for _ = 1 to slots do
+            ignore (Engine.step eng ~decide:(fun _ -> Engine.Transmit "m"))
+          done);
+      match Profile.report () with
+      | None -> Alcotest.fail "expected a report"
+      | Some r ->
+        (match r.Profile.sparse with
+         | None -> Alcotest.fail "expected a sparse sub-stage row"
+         | Some sp ->
+           Alcotest.(check int) "one sparse sample per slot" slots
+             sp.Profile.r_count);
+        Alcotest.(check bool) "sparse is not a share row" false
+          (List.exists (fun row -> row.Profile.r_stage = "sparse")
+             r.Profile.rows);
+        check_shares_sum r)
 
 (* ---------------- instrumented approx-progress smoke ---------------- *)
 
@@ -1038,5 +1076,7 @@ let suite =
     Alcotest.test_case "engine counters" `Quick test_engine_counters;
     Alcotest.test_case "profile report (shares sum to ~100%)" `Quick
       test_profile_report;
+    Alcotest.test_case "profile sparse sub-stage (one per slot)" `Quick
+      test_profile_sparse_substage;
     Alcotest.test_case "instrumented approg smoke" `Quick
       test_approg_instrumented_smoke ]

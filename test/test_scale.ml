@@ -417,18 +417,10 @@ let test_sparse_decisions_near_exact () =
     exact;
   ignore !flips
 
-(* An explicit far-field request wins over auto-sparse; disabling the
-   threshold (<= 0) turns auto-sparse off entirely. *)
+(* Disabling the threshold (<= 0) turns auto-sparse off entirely. *)
 let test_sparse_install_rules () =
   let rng = Rng.create 910 in
   let pts = wide_deployment rng ~n:40 ~side:150. in
-  (with_sparse ~threshold:16 ~eps:0.3 @@ fun () ->
-   Phys_tuning.set_farfield (Some 0.2);
-   Fun.protect ~finally:(fun () -> Phys_tuning.set_farfield None)
-   @@ fun () ->
-   let sinr = Sinr.create cfg pts in
-   Alcotest.(check bool) "explicit farfield wins" true
-     (Sinr.farfield sinr <> None && Sinr.sparse sinr = None));
   with_sparse ~threshold:0 ~eps:0.3 @@ fun () ->
   let sinr = Sinr.create cfg pts in
   Alcotest.(check bool) "threshold <= 0 disables auto-sparse" true
