@@ -81,9 +81,10 @@ serve-smoke:
 # sweep, observe queue backpressure (the second job must 429 against
 # --queue-cap 1 and show up in serve_jobs_rejected), poll the job to
 # done, feed the live /spans scrape to trace-report --strict, then drain
-# gracefully with SIGTERM and require exit 0.  Artifacts: daemon-smoke.log,
-# daemon-metrics.prom, daemon-spans.jsonl and the daemon-smoke-dir
-# checkpoints.
+# gracefully with SIGTERM and require exit 0.  The job's cells must be in
+# the WAL as "cells" records, and no checkpoint file may exist.
+# Artifacts: daemon-smoke.log, daemon-metrics.prom, daemon-spans.jsonl and
+# the daemon-smoke-dir WAL.
 daemon-smoke:
 	dune build bin/sinr_sim.exe
 	rm -rf daemon-smoke-dir daemon-port.txt; \
@@ -128,8 +129,10 @@ daemon-smoke:
 	grep -q '^serve_jobs_completed [1-9]' daemon-metrics.prom || \
 	  { echo "daemon-smoke: completion not visible in serve.* metrics"; \
 	    exit 1; }; \
-	ls daemon-smoke-dir/serve-smoke.ckpt.jsonl >/dev/null || \
-	  { echo "daemon-smoke: checkpoint file missing"; exit 1; }; \
+	grep -q '"job":1,"ev":"cells"' daemon-smoke-dir/serve.wal || \
+	  { echo "daemon-smoke: job 1 has no cells records in the WAL"; exit 1; }; \
+	if ls daemon-smoke-dir/*.ckpt.jsonl >/dev/null 2>&1; then \
+	  echo "daemon-smoke: a checkpoint file was written"; exit 1; fi; \
 	grep -q '\[drained' daemon-smoke.log || \
 	  { echo "daemon-smoke: no drain confirmation in log"; exit 1; }; \
 	dune exec bin/sinr_sim.exe -- trace-report --strict daemon-spans.jsonl; \
@@ -141,7 +144,7 @@ daemon-smoke:
 # require (a) the WAL recovery banner, (b) the job runs to done, and
 # (c) its table is byte-identical (cmp) to an uninterrupted reference
 # run in a fresh directory.  Artifacts: crash-smoke.log, crash-table.json,
-# crash-table-ref.json and the crash-smoke-dir WAL + checkpoints.
+# crash-table-ref.json and the crash-smoke-dir WAL.
 crash-smoke:
 	dune build bin/sinr_sim.exe
 	rm -rf crash-smoke-dir crash-ref-dir crash-port.txt \

@@ -269,6 +269,13 @@ let micro () =
    exactly the par.bench.* gauges. *)
 let par_bench_path = "BENCH_parallel.json"
 
+(* Wall-clock seconds of one call. *)
+let time f =
+  let t = Unix.gettimeofday () in
+  f ();
+  Unix.gettimeofday () -. t
+
+
 let reliability_workload ~jobs () =
   let rng = Rng.create 41 in
   let pts =
@@ -309,11 +316,6 @@ let par_bench () =
       "[par-bench: %d jobs exceed the %d recommended cores — parallel \
        clocks will understate the speedup]@."
       par_jobs cores;
-  let time f =
-    let t = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t
-  in
   let gauges =
     ref
       [ ("par.bench.jobs", float_of_int par_jobs);
@@ -359,20 +361,44 @@ let par_bench () =
    [uninstrumented]) so the clocks measure the kernels. *)
 let phys_bench_path = "BENCH_phys.json"
 
-(* Adaptive repetition: run [f] until >= 0.3 s of wall clock, return
-   calls per second. *)
-let calls_per_second f =
-  f ();
-  (* warm-up: fills cache rows, faults code in *)
-  let rec go reps =
-    let t = Unix.gettimeofday () in
+(* Each kernel comparison is [pairs] alternating (cached, reference)
+   passes, and its speedup gauge is the median of the per-pair ratios: a
+   slow spell on the host (a stolen CPU, a frequency step) then lands on
+   both sides of one pair instead of on one kernel's whole measurement,
+   which made a single pass per kernel swing the gauge about 2x between
+   runs. *)
+let pairs = 7
+
+let median l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* Median calls/s of each kernel and median per-pair speedup.  A pass
+   repeats its kernel enough times to take >= 0.05 s, sized once per
+   kernel after a warm-up call (which fills cache rows and faults code
+   in). *)
+let paired_calls_per_second ~cached ~reference =
+  let pass reps f () =
     for _ = 1 to reps do
       f ()
-    done;
-    let dt = Unix.gettimeofday () -. t in
-    if dt >= 0.3 then float_of_int reps /. dt else go (reps * 4)
+    done
   in
-  go 1
+  let reps_for f =
+    f ();
+    let rec go reps = if time (pass reps f) >= 0.05 then reps else go (reps * 2) in
+    go 1
+  in
+  let rc = reps_for cached and rr = reps_for reference in
+  let runs =
+    List.init pairs (fun _ ->
+        let c = float_of_int rc /. time (pass rc cached) in
+        let r = float_of_int rr /. time (pass rr reference) in
+        (c, r))
+  in
+  ( median (List.map fst runs),
+    median (List.map snd runs),
+    median (List.map (fun (c, r) -> c /. r) runs) )
 
 let phys_deployment ?(every = 4) ~n () =
   let rng = Rng.create 51 in
@@ -390,14 +416,11 @@ let phys_bench () =
   List.iter
     (fun n ->
       let sinr, senders = phys_deployment ~n () in
-      let cached =
-        calls_per_second (fun () -> ignore (Sinr.resolve sinr ~senders))
+      let cached, reference, speedup =
+        paired_calls_per_second
+          ~cached:(fun () -> ignore (Sinr.resolve sinr ~senders))
+          ~reference:(fun () -> ignore (Sinr.resolve_reference sinr ~senders))
       in
-      let reference =
-        calls_per_second (fun () ->
-            ignore (Sinr.resolve_reference sinr ~senders))
-      in
-      let speedup = cached /. reference in
       Fmt.pr
         "resolve n=%-5d |S|=%-4d cached %10.0f slots/s   seed %10.0f \
          slots/s   speedup %5.2fx@."
@@ -418,59 +441,64 @@ let phys_bench () =
       ~finally:(fun () -> Phys_tuning.set_cache_cap_bytes prev_cap)
       (fun () -> phys_deployment ~every:64 ~n ())
   in
-  let cached =
-    calls_per_second (fun () -> ignore (Sinr.resolve sinr ~senders))
-  in
-  let reference =
-    calls_per_second (fun () -> ignore (Sinr.resolve_reference sinr ~senders))
+  let cached, reference, speedup =
+    paired_calls_per_second
+      ~cached:(fun () -> ignore (Sinr.resolve sinr ~senders))
+      ~reference:(fun () -> ignore (Sinr.resolve_reference sinr ~senders))
   in
   Fmt.pr
     "resolve n=%-5d |S|=%-4d capped at half the table: cached %10.0f \
      slots/s   seed %10.0f slots/s   speedup %5.2fx@."
-    n (List.length senders) cached reference (cached /. reference);
+    n (List.length senders) cached reference speedup;
   record "phys.bench.n2048_capped.cached.slots_per_s" cached;
   record "phys.bench.n2048_capped.reference.slots_per_s" reference;
-  record "phys.bench.n2048_capped.speedup" (cached /. reference);
+  record "phys.bench.n2048_capped.speedup" speedup;
   (* Reliability.estimate wall clock: the production path (cached kernel,
      scratch sender arrays) against the same trial loop on the seed
-     kernel. *)
-  let rel_n = 256 and trials = 1_500 and p = 0.25 in
+     kernel, [pairs] alternating passes of [per_pass] trials each; the
+     seconds gauges are the totals. *)
+  let rel_n = 256 and per_pass = 215 and p = 0.25 in
+  let trials = per_pass * pairs in
   let sinr, _ = phys_deployment ~n:rel_n () in
   let set = List.init rel_n Fun.id in
   let rel_rng = Rng.create 52 in
-  let time f =
-    let t = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t
+  let runs =
+    List.init pairs (fun _ ->
+        let c =
+          time (fun () ->
+              ignore
+                (Reliability.estimate ~trials:per_pass ~jobs:1 sinr rel_rng
+                   ~set ~p ~mu:0.01))
+        in
+        let r =
+          time (fun () ->
+              (* The seed's trial loop verbatim: list senders, reference
+                 kernel. *)
+              let members = Array.of_list set in
+              for t = 0 to per_pass - 1 do
+                let trng = Rng.split rel_rng ~key:t in
+                let senders =
+                  Array.to_list members
+                  |> List.filter (fun _ -> Rng.bernoulli trng p)
+                in
+                if senders <> [] then
+                  ignore (Sinr.resolve_reference sinr ~senders)
+              done)
+        in
+        (c, r))
   in
-  let cached_s =
-    time (fun () ->
-        ignore
-          (Reliability.estimate ~trials ~jobs:1 sinr rel_rng ~set ~p ~mu:0.01))
-  in
-  let reference_s =
-    time (fun () ->
-        (* The seed's trial loop verbatim: list senders, reference kernel. *)
-        let members = Array.of_list set in
-        for t = 0 to trials - 1 do
-          let trng = Rng.split rel_rng ~key:t in
-          let senders =
-            Array.to_list members
-            |> List.filter (fun _ -> Rng.bernoulli trng p)
-          in
-          if senders <> [] then
-            ignore (Sinr.resolve_reference sinr ~senders)
-        done)
+  let cached_s = List.fold_left (fun a (c, _) -> a +. c) 0. runs in
+  let reference_s = List.fold_left (fun a (_, r) -> a +. r) 0. runs in
+  let speedup =
+    median (List.map (fun (c, r) -> if c > 0. then r /. c else 0.) runs)
   in
   Fmt.pr
     "reliability n=%d trials=%d   cached %.2fs   seed %.2fs   speedup \
      %.2fx@."
-    rel_n trials cached_s reference_s
-    (if cached_s > 0. then reference_s /. cached_s else 0.);
+    rel_n trials cached_s reference_s speedup;
   record "phys.bench.reliability.cached.seconds" cached_s;
   record "phys.bench.reliability.reference.seconds" reference_s;
-  record "phys.bench.reliability.speedup"
-    (if cached_s > 0. then reference_s /. cached_s else 0.);
+  record "phys.bench.reliability.speedup" speedup;
   let snap =
     List.sort compare !gauges
     |> List.map (fun (name, v) -> (name, Sinr_obs.Metrics.Gauge_v v))
@@ -611,11 +639,6 @@ let trace_overhead () =
     ignore
       (Sinr_mac.Measure.acks sinr ~rng:(Rng.create 62) ~senders
          ~max_slots:120_000)
-  in
-  let time f =
-    let t = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t
   in
   workload ();
   (* warm-up: faults code in, fills gain-cache rows *)

@@ -849,11 +849,11 @@ let scale_cmd =
 (* Sweep-as-a-service: the lib/serve daemon behind the embedded HTTP
    server.  The accept domain answers the /jobs API (and the builtin
    /metrics /healthz /spans); this main loop runs the queued jobs one at a
-   time through the checkpointing runner.  SIGINT/SIGTERM request a drain:
-   the in-flight chunk of cells finishes, the checkpoint lands, the
-   running job returns to Queued, the flight recorder is dumped, and the
-   process exits 0 — a later `sinr_sim serve` in the same --dir resumes
-   the job bit-identically from its checkpoint. *)
+   time, logging each chunk of finished cells to the WAL.  SIGINT/SIGTERM
+   request a drain: the in-flight chunk of cells finishes and is logged,
+   the running job returns to Queued, the flight recorder is dumped, and
+   the process exits 0 — a later `sinr_sim serve` on the same --wal-dir
+   resumes the job bit-identically from its logged cells. *)
 let serve_cmd =
   let port_arg =
     Arg.(value & opt int 0
@@ -865,8 +865,9 @@ let serve_cmd =
   let dir_arg =
     Arg.(value & opt string "."
          & info [ "dir" ] ~docv:"DIR"
-             ~doc:"Directory for job checkpoints and recorder dumps \
-                   (created if missing).")
+             ~doc:"Directory for recorder dumps and, unless \
+                   $(b,--wal-dir) is given, the write-ahead log (created \
+                   if missing).")
   in
   let queue_cap_arg =
     Arg.(value & opt int 8
@@ -877,15 +878,17 @@ let serve_cmd =
   let checkpoint_arg =
     Arg.(value & opt int 4
          & info [ "checkpoint-every" ] ~docv:"CELLS"
-             ~doc:"Snapshot a running job's completed cells every $(docv) \
-                   cells (atomic temp+rename JSONL).")
+             ~doc:"Run a job in chunks of $(docv) cells, appending each \
+                   chunk's finished cells to the write-ahead log as one \
+                   record.")
   in
   let wal_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "wal-dir" ] ~docv:"DIR"
              ~doc:"Directory for the write-ahead log (default: $(b,--dir)). \
-                   Restarting with the same $(docv) replays the WAL and \
-                   resumes in-flight jobs from their checkpoints.")
+                   It is the daemon's one durable store: restarting with \
+                   the same $(docv) replays it and resumes in-flight jobs \
+                   from the cells it logged.")
   in
   let deadline_arg =
     Arg.(value & opt float 0.
@@ -946,7 +949,7 @@ let serve_cmd =
        Fmt.pr "[wal: corrupt log quarantined to %s; sound prefix kept]@." path);
     let recovered = Sinr_serve.Daemon.recovered daemon in
     if recovered > 0 then
-      Fmt.pr "[wal: %d job%s recovered; resuming from checkpoints]@." recovered
+      Fmt.pr "[wal: %d job%s recovered; resuming from logged cells]@." recovered
         (if recovered = 1 then "" else "s");
     let server =
       match

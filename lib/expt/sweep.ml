@@ -3,7 +3,7 @@
    order.  See the .mli for the cell-purity requirements.
 
    The grid is materialized as a [cursor] — a (param x seed) matrix of
-   optional results — so a partially-run grid can be checkpointed and
+   optional results — so a partially-run grid can be logged and
    resumed: restore the completed cells, run only the remaining ones, and
    the assembled table is identical to an uninterrupted run because every
    cell's randomness derives from its own (param, seed) pair, never from
@@ -109,8 +109,9 @@ let run_cursor ?jobs ?chunk ?(should_stop = fun () -> false) ?on_chunk c f =
       let rem = remaining c in
       let batch = match chunk with None -> rem | Some k -> take (max 1 k) rem in
       let results = cells ?jobs (fun (p, s) -> f p s) batch in
-      List.iter2 (fun (p, s) v -> ignore (record c p s v)) batch results;
-      Option.iter (fun g -> g c) on_chunk;
+      let fresh = List.map2 (fun (p, s) v -> (p, s, v)) batch results in
+      List.iter (fun (p, s, v) -> ignore (record c p s v)) fresh;
+      Option.iter (fun g -> g fresh) on_chunk;
       loop ()
     end
   in

@@ -16,9 +16,9 @@
     Because cells are pure in [(param, seed)], a grid can stop at any cell
     boundary and resume later (even in a different process) with results
     bit-identical to an uninterrupted run: {!cursor} holds the partial
-    matrix, {!record} restores checkpointed cells, {!run_cursor} runs only
-    what is missing. The sweep daemon ([lib/serve]) builds its
-    checkpoint/resume on exactly this. *)
+    matrix, {!record} restores cells logged earlier, {!run_cursor} runs
+    only what is missing. The sweep daemon ([lib/serve]) builds its
+    resume-from-WAL on exactly this. *)
 
 val cells : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel map preserving order: one task per element. [jobs] defaults
@@ -62,11 +62,12 @@ val results : ('p, 'c) cursor -> ('p * 'c list) list
 
 val run_cursor :
   ?jobs:int -> ?chunk:int -> ?should_stop:(unit -> bool)
-  -> ?on_chunk:(('p, 'c) cursor -> unit) -> ('p, 'c) cursor
+  -> ?on_chunk:(('p * int * 'c) list -> unit) -> ('p, 'c) cursor
   -> ('p -> int -> 'c) -> [ `Complete | `Stopped ]
 (** Run the missing cells through the pool, [chunk] cells per batch (all
     of them when omitted). After each batch the results are recorded and
-    [on_chunk] fires (checkpoint hook); before each batch [should_stop] is
-    polled — [true] returns [`Stopped] at the cell boundary, leaving the
-    cursor resumable. Results are independent of [chunk], [jobs] and any
-    stop/resume history. *)
+    [on_chunk] fires with the batch's [(param, seed, cell)] triples in
+    grid order (the daemon logs them to its WAL); before each batch
+    [should_stop] is polled — [true] returns [`Stopped] at the cell
+    boundary, leaving the cursor resumable. Results are independent of
+    [chunk], [jobs] and any stop/resume history. *)

@@ -19,10 +19,12 @@
    The handler runs on the HTTP accept domain; all job execution happens
    in the owner's [step] loop, so a request never blocks on a sweep.
    Every admission and terminal transition lands in the WAL before the
-   HTTP response; on startup [create] replays the WAL (tolerating a torn
-   tail, quarantining real corruption), re-admits live jobs with their
-   strike counts, compacts the log, and the next [step]s resume them
-   from their checkpoints — bit-identical to an uninterrupted run. *)
+   HTTP response, and every chunk of finished cells lands there as one
+   Cells record: the WAL is the daemon's only durable store.  On startup
+   [create] replays it (tolerating a torn tail, quarantining real
+   corruption), re-admits live jobs with their strike counts and logged
+   cells, compacts the log, and the next [step]s resume them from those
+   cells — bit-identical to an uninterrupted run. *)
 
 open Sinr_obs
 open Sinr_par
@@ -59,39 +61,47 @@ let state_event (job : Queue.job) =
 
 (* Fold the replayed records into per-job state.  [attempts] counts
    Started records not closed by Yielded (graceful drains are not
-   strikes) plus any compacted Strikes baseline; a terminal record
-   removes the job from the live set. *)
+   strikes) plus any compacted Strikes baseline; [cells] gathers the
+   job's Cells records in log order; a terminal record removes the job
+   from the live set. *)
+type replayed = {
+  spec : Spec.t option;
+  attempts : int;
+  cells : (int * int * Json.t) list list;  (* newest record first *)
+  live : bool;
+}
+
 let fold_replay records =
   let tbl = Hashtbl.create 16 in
-  (* id -> (spec option, attempts, live) in insertion order via ids *)
   List.iter
     (fun { Wal.job = id; ev } ->
-      let spec, attempts, live =
+      let r =
         match Hashtbl.find_opt tbl id with
-        | Some s -> s
-        | None -> (None, 0, true)
+        | Some r -> r
+        | None -> { spec = None; attempts = 0; cells = []; live = true }
       in
-      let entry =
+      let r =
         match ev with
-        | Wal.Submitted spec -> (Some spec, attempts, true)
-        | Wal.Started _ -> (spec, attempts + 1, live)
-        | Wal.Yielded -> (spec, max 0 (attempts - 1), live)
-        | Wal.Strikes n -> (spec, attempts + max 0 n, live)
-        | Wal.Checkpointed _ -> (spec, attempts, live)
+        | Wal.Submitted spec -> { r with spec = Some spec; live = true }
+        | Wal.Started _ -> { r with attempts = r.attempts + 1 }
+        | Wal.Yielded -> { r with attempts = max 0 (r.attempts - 1) }
+        | Wal.Strikes n -> { r with attempts = r.attempts + max 0 n }
+        | Wal.Cells cs -> { r with cells = cs :: r.cells }
         | Wal.Completed | Wal.Cancelled | Wal.Failed _ | Wal.Quarantined _
-          -> (spec, attempts, false)
+          -> { r with live = false }
       in
-      Hashtbl.replace tbl id entry)
+      Hashtbl.replace tbl id r)
     records;
   let live =
     Hashtbl.fold
-      (fun id entry acc ->
-        match entry with
-        | Some spec, attempts, true -> (id, spec, attempts) :: acc
+      (fun id r acc ->
+        match r with
+        | { spec = Some spec; live = true; attempts; cells } ->
+          (id, spec, attempts, List.concat (List.rev cells)) :: acc
         | _ -> acc)
       tbl []
   in
-  List.sort (fun (a, _, _) (b, _, _) -> compare a b) live
+  List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) live
 
 let create ?(dir = ".") ?wal_dir ?(max_queued = 8) ?(checkpoint_every = 4)
     ?policy () =
@@ -107,17 +117,19 @@ let create ?(dir = ".") ?wal_dir ?(max_queued = 8) ?(checkpoint_every = 4)
     else `Clean
   in
   let live = fold_replay replay.Wal.records in
-  (* Compact: the reopened WAL holds exactly the live jobs — their spec
-     and strike baseline — instead of the full history. *)
+  (* Compact: the reopened WAL holds exactly the live jobs — their
+     spec, strike baseline and cells — instead of the full history. *)
   let wal =
     Wal.reset ~dir:wal_dir
       (List.concat_map
-         (fun (id, spec, attempts) ->
-           { Wal.job = id; ev = Wal.Submitted spec }
-           ::
-           (if attempts > 0 then
-              [ { Wal.job = id; ev = Wal.Strikes attempts } ]
-            else []))
+         (fun (id, spec, attempts, cells) ->
+           List.concat
+             [ [ { Wal.job = id; ev = Wal.Submitted spec } ];
+               (if attempts > 0 then
+                  [ { Wal.job = id; ev = Wal.Strikes attempts } ]
+                else []);
+               (if cells <> [] then [ { Wal.job = id; ev = Wal.Cells cells } ]
+                else []) ])
          live)
   in
   let events = Events.create () in
@@ -127,8 +139,8 @@ let create ?(dir = ".") ?wal_dir ?(max_queued = 8) ?(checkpoint_every = 4)
   let pol = Supervisor.policy supervisor in
   let recovered =
     List.fold_left
-      (fun acc (id, spec, attempts) ->
-        let job = Queue.recover queue ~id ~spec ~attempts in
+      (fun acc (id, spec, attempts, cells) ->
+        let job = Queue.recover queue ~id ~spec ~attempts ~cells in
         (* a job that took the process down more often than the retry
            budget allows is poison: park it before it wedges the loop
            again *)
@@ -195,6 +207,20 @@ let opt_field name = function
   | None -> []
   | Some j -> [ (name, j) ]
 
+let cell_json (p, s, cell) =
+  Json.Obj [ ("param", Json.int p); ("seed", Json.int s); ("cell", cell) ]
+
+(* The cells finished so far, as GET /jobs/:id shows them. *)
+let partial_json (job : Queue.job) =
+  match job.Queue.cells with
+  | [] -> None
+  | cells ->
+    Some
+      (Json.Obj
+         [ ("done", Json.int job.Queue.cells_done);
+           ("total", Json.int job.Queue.cells_total);
+           ("cells", Json.List (List.map cell_json cells)) ])
+
 let job_json ~full (job : Queue.job) =
   Json.Obj
     (List.concat
@@ -213,7 +239,7 @@ let job_json ~full (job : Queue.job) =
          (if full then
             List.concat
               [ [ ("spec", Spec.to_json job.Queue.spec) ];
-                opt_field "partial" job.Queue.partial;
+                opt_field "partial" (partial_json job);
                 opt_field "table" job.Queue.table ]
           else []) ])
 
@@ -275,9 +301,7 @@ let submit t body =
               (Json.Obj
                  [ ("id", Json.int job.Queue.id);
                    ("state", Json.Str (Queue.state_name job.Queue.state));
-                   ("cells", Json.int job.Queue.cells_total);
-                   ( "checkpoint",
-                     Json.Str (Runner.checkpoint_path ~dir:t.dir job) ) ]))))
+                   ("cells", Json.int job.Queue.cells_total) ]))))
 
 let job_by_id t id_str =
   match int_of_string_opt id_str with
@@ -449,8 +473,8 @@ let hello_json (job : Queue.job) =
 
 (* Backlog replay: rows already complete when the client connected, as
    synthesized ["row"] events — from the final table when the job is
-   done, else reassembled from the partial's cells (canonical grid
-   order, so seed order within a row is preserved).  A row published
+   done, else reassembled from the job's cells (canonical grid order, so
+   seed order within a row is preserved).  A row published
    live between our subscription and this snapshot may be replayed AND
    delivered; watchers dedup by param (cells are deterministic, so the
    duplicates are byte-identical). *)
@@ -475,34 +499,20 @@ let replay_rows (job : Queue.job) =
           | _ -> None)
         rows
     | _ -> [])
-  | _ -> (
-    match job.Queue.partial with
-    | None -> []
-    | Some partial -> (
-      match Json.member "cells" partial with
-      | Some (Json.List cells) ->
-        let seeds_n = List.length job.Queue.spec.Spec.seeds in
-        let by_param : (int, Json.t list) Hashtbl.t = Hashtbl.create 16 in
-        List.iter
-          (fun c ->
-            match
-              ( Option.bind (Json.member "param" c) Json.to_int,
-                Json.member "cell" c )
-            with
-            | Some p, Some cell ->
-              Hashtbl.replace by_param p
-                (cell
-                 :: Option.value ~default:[] (Hashtbl.find_opt by_param p))
-            | _ -> ())
-          cells;
-        List.filter_map
-          (fun p ->
-            match Hashtbl.find_opt by_param p with
-            | Some cs when List.length cs = seeds_n ->
-              Some (mk p (List.rev cs))
-            | _ -> None)
-          job.Queue.spec.Spec.params
-      | _ -> []))
+  | _ ->
+    let seeds_n = List.length job.Queue.spec.Spec.seeds in
+    let by_param : (int, Json.t list) Hashtbl.t = Hashtbl.create 16 in
+    List.iter
+      (fun (p, _s, cell) ->
+        Hashtbl.replace by_param p
+          (cell :: Option.value ~default:[] (Hashtbl.find_opt by_param p)))
+      job.Queue.cells;
+    List.filter_map
+      (fun p ->
+        match Hashtbl.find_opt by_param p with
+        | Some cs when List.length cs = seeds_n -> Some (mk p (List.rev cs))
+        | _ -> None)
+      job.Queue.spec.Spec.params
 
 let sse_stream write =
   { Http.s_status = 200;

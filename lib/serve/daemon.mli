@@ -1,6 +1,5 @@
-(** Sweep-as-a-service daemon: a bounded {!Queue} and supervised
-    checkpointing {!Runner} over a durable {!Wal}, behind an [Obs.Http]
-    handler.
+(** Sweep-as-a-service daemon: a bounded {!Queue} and a supervised
+    {!Runner} over a durable {!Wal}, behind an [Obs.Http] handler.
 
     The handler claims the [/jobs] namespace plus [/readyz] —
     [POST /jobs] (202/400/429), [GET /jobs], [GET /jobs/:id],
@@ -24,16 +23,19 @@
     slow client loses oldest-first from its own bounded buffer
     ([serve.events.dropped]) and never blocks the runner.
 
-    {b Durability.} Admissions and terminal transitions are WAL-logged
-    before the HTTP response. {!create} replays the WAL — skipping a
-    torn tail, quarantining a corrupt file and keeping the sound prefix
-    — re-admits live jobs with their ids and strike counts, parks jobs
-    whose recorded strikes already exhaust the retry budget, and
-    compacts the log. Resumed jobs restore from their checkpoints and
-    finish with tables byte-identical to an uninterrupted run.
+    {b Durability.} The WAL is the one durable store. Admissions and
+    terminal transitions are WAL-logged before the HTTP response; each
+    chunk of finished cells is appended as one [Cells] record.
+    {!create} replays the WAL — skipping a torn tail, quarantining a
+    corrupt file and keeping the sound prefix — re-admits live jobs with
+    their ids, strike counts and logged cells, parks jobs whose recorded
+    strikes already exhaust the retry budget, and compacts the log to
+    one [Submitted], [Strikes] and [Cells] record per live job. Resumed
+    jobs start from their logged cells and finish with tables
+    byte-identical to an uninterrupted run.
 
-    Drain ({!request_drain}): in-flight cells finish, the checkpoint is
-    written, the running job returns to Queued (a [Yielded] WAL record —
+    Drain ({!request_drain}): in-flight cells finish and are logged,
+    the running job returns to Queued (a [Yielded] WAL record —
     not a strike), {!step} refuses further work and [POST /jobs] answers
     429. *)
 
@@ -44,9 +46,10 @@ type t
 val create :
   ?dir:string -> ?wal_dir:string -> ?max_queued:int ->
   ?checkpoint_every:int -> ?policy:Supervisor.policy -> unit -> t
-(** [dir] (default ".") holds checkpoints and quarantine dumps;
-    [wal_dir] (default [dir]) holds the WAL. Performs WAL recovery —
-    replay, re-admission, compaction — before returning. *)
+(** [dir] (default ".") holds quarantine dumps; [wal_dir] (default
+    [dir]) holds the WAL. [checkpoint_every] (default 4) is the chunk
+    size: cells per [Cells] record. Performs WAL recovery — replay,
+    re-admission, compaction — before returning. *)
 
 val queue : t -> Queue.t
 

@@ -44,7 +44,7 @@ type job = {
   mutable not_before : float;
   mutable quarantined : bool;
   mutable dump : string option;
-  mutable partial : Json.t option;
+  mutable cells : (int * int * Json.t) list;
   mutable table : Json.t option;
   mutable error : string option;
   mutable finished_at : float option;
@@ -110,7 +110,7 @@ let submit t spec =
             not_before = 0.;
             quarantined = false;
             dump = None;
-            partial = None;
+            cells = [];
             table = None;
             error = None;
             finished_at = None }
@@ -123,10 +123,11 @@ let submit t spec =
         Ok job
       end)
 
-(* WAL recovery: re-admit a job from a previous process with its id and
-   strike count intact.  Bypasses the admission cap — these jobs were
-   already admitted once, and refusing them would lose accepted work. *)
-let recover t ~id ~spec ~attempts =
+(* WAL recovery: re-admit a job from a previous process with its id,
+   strike count and logged cells intact.  Bypasses the admission cap —
+   these jobs were already admitted once, and refusing them would lose
+   accepted work. *)
+let recover t ~id ~spec ~attempts ~cells =
   locked t (fun () ->
       let job =
         { id;
@@ -135,13 +136,13 @@ let recover t ~id ~spec ~attempts =
           submitted_at = Unix.gettimeofday ();
           cancel = Atomic.make false;
           state = Queued;
-          cells_done = 0;
+          cells_done = List.length cells;
           restored = 0;
           attempts = max 0 attempts;
           not_before = 0.;
           quarantined = false;
           dump = None;
-          partial = None;
+          cells;
           table = None;
           error = None;
           finished_at = None }
@@ -198,10 +199,10 @@ let cancel t id =
           `Already_cancelled
         | Done | Failed -> `Already_finished))
 
-let progress t job ~cells_done ~partial =
+let progress t job ~cells =
   locked t (fun () ->
-      job.cells_done <- cells_done;
-      job.partial <- Some partial)
+      job.cells_done <- List.length cells;
+      job.cells <- cells)
 
 let finish t job outcome =
   locked t (fun () ->
@@ -229,9 +230,9 @@ let finish t job outcome =
       notify_locked t job)
 
 (* Drain path: the runner stopped at a cell boundary for a reason that is
-   not this job's cancel flag (process shutdown).  The checkpoint on disk
-   holds everything done so far; putting the job back to Queued records
-   that it is resumable, not finished. *)
+   not this job's cancel flag (process shutdown).  The job's cells (and
+   the WAL behind them) hold everything done so far; putting the job back
+   to Queued records that it is resumable, not finished. *)
 let requeue t job =
   locked t (fun () ->
       job.state <- Queued;

@@ -1,13 +1,14 @@
 (** Bounded job queue for the sweep daemon.
 
     Lifecycle: [Queued → Running → Done | Failed | Cancelled], plus
-    [Running → Queued] on a drain ({!requeue} — the checkpoint makes the
-    job resumable) or a supervised retry ({!retry} — with a backoff
+    [Running → Queued] on a drain ({!requeue} — the cells logged so far
+    make the job resumable) or a supervised retry ({!retry} — with a backoff
     window that {!take} honors), and [Queued → Cancelled] directly.
     Admission depth counts Queued {e and} Running jobs — a Running job
     saturates the one-sweep-at-a-time pool — and {!submit} rejects at
     the cap, which the HTTP layer reports as 429. {!recover} re-admits
-    jobs replayed from the WAL with their id and strike count intact.
+    jobs replayed from the WAL with their id, strike count and completed
+    cells intact.
 
     Metrics:
     [serve.jobs.{submitted,rejected,completed,failed,cancelled,recovered}],
@@ -29,12 +30,14 @@ type job = {
       (** polled by the runner at cell boundaries *)
   mutable state : state;
   mutable cells_done : int;
-  mutable restored : int;  (** cells restored from a checkpoint *)
+  mutable restored : int;  (** cells the latest attempt started with *)
   mutable attempts : int;  (** supervision strikes (attempts started) *)
   mutable not_before : float;  (** retry backoff: {!take} skips until then *)
   mutable quarantined : bool;  (** parked as Failed by the supervisor *)
   mutable dump : string option;  (** flight-recorder dump path, if any *)
-  mutable partial : Json.t option;  (** completed cells so far *)
+  mutable cells : (int * int * Json.t) list;
+      (** completed [(param, seed, cell)] so far, in grid order once a
+          runner has seen them; an attempt resumes from these *)
   mutable table : Json.t option;   (** final table once [Done] *)
   mutable error : string option;  (** last failure (cleared on Done) *)
   mutable finished_at : float option;
@@ -59,9 +62,11 @@ val submit : t -> Spec.t -> (job, [ `Backpressure of int ]) result
 (** Admit or reject; [`Backpressure depth] carries the depth seen. Spec
     and registry validation are the caller's job — the queue only bounds. *)
 
-val recover : t -> id:int -> spec:Spec.t -> attempts:int -> job
-(** Re-admit a WAL-replayed job as Queued, preserving its id and strike
-    count; bypasses the admission cap (the job was admitted once
+val recover :
+  t -> id:int -> spec:Spec.t -> attempts:int
+  -> cells:(int * int * Json.t) list -> job
+(** Re-admit a WAL-replayed job as Queued, preserving its id, strike
+    count and logged cells (which also set [cells_done]); bypasses the admission cap (the job was admitted once
     already) and bumps [next_id] past [id]. *)
 
 val take : ?now:float -> t -> job option
@@ -85,7 +90,8 @@ val cancel :
 
 (** {1 Runner/supervisor-side transitions} *)
 
-val progress : t -> job -> cells_done:int -> partial:Json.t -> unit
+val progress : t -> job -> cells:(int * int * Json.t) list -> unit
+(** Record the completed cells; [cells_done] becomes their count. *)
 
 val finish :
   t -> job ->
@@ -95,7 +101,7 @@ val finish :
     supervisor's poison verdict. *)
 
 val requeue : t -> job -> unit
-(** Drain: back to Queued, resumable from its checkpoint. *)
+(** Drain: back to Queued, resumable from its completed cells. *)
 
 val retry : t -> job -> not_before:float -> error:string -> unit
 (** Supervised retry: back to Queued, but {!take} will not hand the job

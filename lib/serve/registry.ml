@@ -2,11 +2,11 @@
    cell functions.  Cells must be pure in their pair — all randomness from
    seeded streams, results independent of execution order and of the
    warm-state cache — because the runner records them through the
-   [Sweep.cursor] and replays them from checkpoints.
+   [Sweep.cursor] and replays them from the WAL.
 
    Cell JSON only uses shapes whose printing round-trips byte-stably
    (integers, %.17g floats, null for missing), so a restored cell prints
-   exactly like the fresh one it checkpointed. *)
+   exactly like the fresh one that was logged. *)
 
 open Sinr_expt
 open Sinr_obs

@@ -1,19 +1,17 @@
-(* Checkpointing sweep runner: one [Queue.job] driven through
-   [Sweep.run_cursor] with the completed cells snapshotted to disk every
-   [checkpoint_every] cells.
+(* Sweep runner: one [Queue.job] driven through [Sweep.run_cursor],
+   resuming from the cells already on the job.
 
-   Checkpoint file (JSONL, written atomically via [Sink.write_file]):
-
-     {"serve_checkpoint":1,"spec":{...}}          header
-     {"param":4,"seed":1,"cell":{...}}            one line per done cell
-     ...
+   The runner keeps no files.  An attempt seeds its cursor from
+   [job.cells] (cells an earlier attempt in this process finished, or
+   that WAL recovery replayed from a previous process) and hands each
+   chunk's newly finished cells to [on_checkpoint]; under the daemon the
+   supervisor appends them to the WAL as one [Cells] record.
 
    Resume contract: cells are pure in (param, seed) and cell JSON prints
-   byte-stably through a parse/print round trip, so a killed job restored
-   from its checkpoint produces a final table bit-identical to an
-   uninterrupted run — whatever the jobs setting, chunk size or number of
-   interruptions.  The spec match deliberately ignores the [jobs] and
-   [tag] fields: they steer execution, not results. *)
+   byte-stably through a parse/print round trip, so a job resumed from
+   logged cells produces a final table bit-identical to an uninterrupted
+   run, whatever the jobs setting, chunk size or number of
+   interruptions. *)
 
 open Sinr_expt
 open Sinr_obs
@@ -22,100 +20,15 @@ let m_cells = Metrics.counter "serve.cells.done"
 let m_checkpoints = Metrics.counter "serve.checkpoints"
 let m_resumed = Metrics.counter "serve.resume.cells"
 
-let tag_of (job : Queue.job) =
-  match job.Queue.spec.Spec.tag with
-  | Some t -> t
-  | None -> Printf.sprintf "job%d" job.Queue.id
-
+(* No file is written here any more; the name is kept for tools that
+   still size it (they read 0 bytes). *)
 let checkpoint_path ~dir (job : Queue.job) =
-  Filename.concat dir (Printf.sprintf "serve-%s.ckpt.jsonl" (tag_of job))
-
-(* Identity for checkpoint matching: the grid, not the knobs. *)
-let spec_matches (a : Spec.t) (b : Spec.t) =
-  a.Spec.exp = b.Spec.exp
-  && a.Spec.params = b.Spec.params
-  && a.Spec.seeds = b.Spec.seeds
-
-let checkpoint_string (spec : Spec.t) cursor =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Json.to_string_json
-       (Json.Obj
-          [ ("serve_checkpoint", Json.int 1);
-            ("spec", Spec.to_json spec) ]));
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (p, s, cell) ->
-      Buffer.add_string buf
-        (Json.to_string_json
-           (Json.Obj
-              [ ("param", Json.int p); ("seed", Json.int s);
-                ("cell", cell) ]));
-      Buffer.add_char buf '\n')
-    (Sweep.completed_cells cursor);
-  Buffer.contents buf
-
-let save ~path spec cursor =
-  Sink.write_file path (checkpoint_string spec cursor);
-  Metrics.incr m_checkpoints
-
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
-
-(* Restore completed cells into [cursor]; the count restored.  A missing
-   file, foreign spec or malformed header restores nothing; malformed or
-   out-of-grid cell lines are skipped individually ([Sweep.record] already
-   rejects foreign cells). *)
-let restore ~path spec cursor =
-  match read_lines path with
-  | exception Sys_error _ -> 0
-  | [] -> 0
-  | header :: cells -> (
-    match Json.parse_opt header with
-    | None -> 0
-    | Some h -> (
-      match
-        ( Option.bind (Json.member "serve_checkpoint" h) Json.to_int,
-          Option.map Spec.of_json (Json.member "spec" h) )
-      with
-      | Some 1, Some (Ok ck_spec) when spec_matches spec ck_spec ->
-        List.fold_left
-          (fun acc line ->
-            match Json.parse_opt line with
-            | None -> acc
-            | Some j -> (
-              match
-                ( Option.bind (Json.member "param" j) Json.to_int,
-                  Option.bind (Json.member "seed" j) Json.to_int,
-                  Json.member "cell" j )
-              with
-              | Some p, Some s, Some cell ->
-                if Sweep.record cursor p s cell then acc + 1 else acc
-              | _ -> acc))
-          0 cells
-      | _ -> 0))
-
-let partial_json cursor =
-  Json.Obj
-    [ ("done", Json.int (Sweep.completed cursor));
-      ("total", Json.int (Sweep.total cursor));
-      ( "cells",
-        Json.List
-          (List.map
-             (fun (p, s, cell) ->
-               Json.Obj
-                 [ ("param", Json.int p); ("seed", Json.int s);
-                   ("cell", cell) ])
-             (Sweep.completed_cells cursor)) ) ]
+  let tag =
+    match job.Queue.spec.Spec.tag with
+    | Some t -> t
+    | None -> Printf.sprintf "job%d" job.Queue.id
+  in
+  Filename.concat dir (Printf.sprintf "serve-%s.ckpt.jsonl" tag)
 
 let table_json (reg : Registry.t) (spec : Spec.t) cursor =
   Json.Obj
@@ -131,7 +44,7 @@ let table_json (reg : Registry.t) (spec : Spec.t) cursor =
              (Sweep.results cursor)) ) ]
 
 let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
-    ?wrap_cell ?on_fail ?on_checkpoint ?notify ~dir queue (job : Queue.job) =
+    ?wrap_cell ?on_fail ?on_checkpoint ?notify queue (job : Queue.job) =
   let spec = job.Queue.spec in
   let jid = job.Queue.id in
   (* Ambient job identity: every span opened for the rest of this attempt
@@ -174,20 +87,18 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
     let cursor =
       Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds
     in
-    let path = checkpoint_path ~dir job in
-    let save_ck c =
-      save ~path spec c;
-      Metrics.incr mj_checkpoints
+    let restored =
+      List.fold_left
+        (fun n (p, s, cell) -> if Sweep.record cursor p s cell then n + 1 else n)
+        0 job.Queue.cells
     in
-    let restored = restore ~path spec cursor in
+    Queue.progress queue job ~cells:(Sweep.completed_cells cursor);
     if restored > 0 then begin
       job.Queue.restored <- restored;
       Metrics.add m_resumed restored;
       Metrics.add mj_resumed restored;
       Span.annotate span ~slot:restored
-        (Printf.sprintf "restored %d cells from %s" restored path);
-      Queue.progress queue job ~cells_done:restored
-        ~partial:(partial_json cursor)
+        (Printf.sprintf "resumed with %d logged cells" restored)
     end;
     (* Row announcements: a param's row is complete once all its seeds'
        cells are in.  Cells come back in canonical grid order, so the
@@ -196,7 +107,7 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
        alone. *)
     let seeds_n = List.length spec.Spec.seeds in
     let announced : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    let publish_rows c =
+    let publish_rows () =
       if notify <> None then begin
         let by_param : (int, Json.t list) Hashtbl.t = Hashtbl.create 16 in
         List.iter
@@ -205,7 +116,7 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
               Option.value ~default:[] (Hashtbl.find_opt by_param p)
             in
             Hashtbl.replace by_param p (cell :: prev))
-          (Sweep.completed_cells c);
+          (Sweep.completed_cells cursor);
         List.iter
           (fun p ->
             if not (Hashtbl.mem announced p) then
@@ -220,20 +131,22 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
           spec.Spec.params
       end
     in
-    let counted = ref restored in
-    let on_chunk c =
-      save_ck c;
-      let done_now = Sweep.completed c in
-      Metrics.add m_cells (done_now - !counted);
-      Metrics.add mj_cells (done_now - !counted);
-      counted := done_now;
-      Queue.progress queue job ~cells_done:done_now ~partial:(partial_json c);
+    (* The chunk's cells reach the WAL (through [on_checkpoint]) before
+       the job's progress shows them, so a crash after a client saw
+       [cells_done] move loses none of those cells. *)
+    let on_chunk fresh =
+      Option.iter (fun f -> f ~cells:fresh) on_checkpoint;
+      Metrics.incr m_checkpoints;
+      Metrics.incr mj_checkpoints;
+      Metrics.add m_cells (List.length fresh);
+      Metrics.add mj_cells (List.length fresh);
+      Queue.progress queue job ~cells:(Sweep.completed_cells cursor);
       emit "checkpoint"
         (Json.Obj
-           [ ("job_id", Json.int jid); ("cells_done", Json.int done_now);
+           [ ("job_id", Json.int jid);
+             ("cells_done", Json.int (Sweep.completed cursor));
              ("cells_total", Json.int job.Queue.cells_total) ]);
-      publish_rows c;
-      Option.iter (fun f -> f ~cells:done_now) on_checkpoint
+      publish_rows ()
     in
     let stop () = should_stop () || Atomic.get job.Queue.cancel in
     let cell =
@@ -264,18 +177,14 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
         ~should_stop:stop ~on_chunk cursor cell
     with
     | `Complete ->
-      (* an all-restored grid never fires on_chunk; normalize the file *)
-      if Sweep.completed cursor = restored then save_ck cursor;
-      publish_rows cursor;
+      publish_rows ();
       Queue.finish queue job (`Done (table_json reg spec cursor));
       finish_span ()
     | `Stopped ->
-      save_ck cursor;
       if Atomic.get job.Queue.cancel then
         Queue.finish queue job `Cancelled
       else Queue.requeue queue job;
       finish_span ()
     | exception exn ->
-      save_ck cursor;
       fail (Printexc.to_string exn);
       finish_span ())

@@ -133,6 +133,5 @@ let validate t =
             Error "tag: alphanumeric, '-' or '_', at most 64 chars"
           | _ -> Ok ()))
 
-(* Specs are compared structurally when a checkpoint is restored; the
-   wire form is the identity. *)
+(* Specs are compared structurally on their wire form. *)
 let equal a b = to_json a = to_json b

@@ -1,5 +1,5 @@
 (** Wire form of one sweep job: experiment name, integer parameter grid,
-    seeds, optional pool-size override and checkpoint tag.
+    seeds, optional pool-size override and client tag.
 
     [of_json] is strict (unknown fields rejected); {!validate} applies the
     admission caps ({!max_axis} entries per axis, {!max_cells} grid cells)
@@ -12,7 +12,7 @@ type t = {
   params : int list;     (** outer sweep axis *)
   seeds : int list;      (** inner sweep axis *)
   jobs : int option;     (** pool size override; results are unaffected *)
-  tag : string option;   (** checkpoint file tag; default [job<id>] *)
+  tag : string option;   (** client label, kept with the spec *)
 }
 
 val max_axis : int
@@ -30,4 +30,4 @@ val validate : t -> (unit, string) result
     registry's job. *)
 
 val equal : t -> t -> bool
-(** Structural equality on the wire form — checkpoint/spec matching. *)
+(** Structural equality on the wire form. *)

@@ -2,10 +2,12 @@
    retries, and poison quarantine.
 
    Every attempt at a job runs through [run]: the attempt is WAL-logged
-   (Started), wrapped with a wall-clock deadline (enforced at cell
-   boundaries through the runner's should_stop — cells are the atomicity
-   unit everywhere in lib/serve) and a per-cell budget (measured at cell
-   completion through wrap_cell), and classified afterwards:
+   (Started), each chunk of finished cells is logged as one Cells
+   record, and the attempt is wrapped with a wall-clock deadline
+   (enforced at cell boundaries through the runner's should_stop — cells
+   are the atomicity unit everywhere in lib/serve) and a per-cell budget
+   (measured at cell completion through wrap_cell), and classified
+   afterwards:
 
      Done / Cancelled            terminal, WAL-logged
      drain (external stop)       job back to Queued, attempt closes with
@@ -180,8 +182,8 @@ let run t ?wal ?notify ?(should_stop = fun () -> false)
   in
   Runner.run_job ~checkpoint_every ~should_stop:stop ~wrap_cell ~on_fail
     ~on_checkpoint:(fun ~cells ->
-      log wal { Wal.job = job.Queue.id; ev = Wal.Checkpointed cells })
-    ?notify ~dir queue job;
+      log wal { Wal.job = job.Queue.id; ev = Wal.Cells cells })
+    ?notify queue job;
   (* classify what the runner left behind *)
   match job.Queue.state with
   | Queue.Done ->
@@ -194,7 +196,7 @@ let run t ?wal ?notify ?(should_stop = fun () -> false)
     ()
   | Queue.Queued when !deadline_hit && not (should_stop ()) ->
     (* the runner read the deadline stop as a drain and requeued; it is
-       a strike — checkpointed progress survives into the next attempt,
+       a strike — logged cells survive into the next attempt,
        so a job that makes headway each attempt still completes *)
     Metrics.incr m_deadline;
     strike t ?wal ?notify ~dir queue job

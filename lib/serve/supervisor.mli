@@ -1,7 +1,8 @@
 (** Supervision for daemon jobs: wall-clock deadlines, per-cell budgets,
     capped-exponential-backoff retries, and poison quarantine.
 
-    {!run} drives one attempt of a {!Queue.job} through {!Runner.run_job}
+    {!run} drives one attempt of a {!Queue.job} through {!Runner.run_job},
+    logging each chunk's finished cells to the WAL as one [Cells] record,
     and classifies the outcome: success and cancellation are terminal
     (WAL-logged); a drain closes the attempt gracefully ([Yielded] — not
     a strike); any failure — a cell exception, a cell over its
@@ -61,6 +62,7 @@ val run :
 (** Run one supervised attempt.  On return the job is settled: Done,
     Cancelled, Failed (quarantined), Queued inside a backoff window
     (retry scheduled), or Queued cleanly (drain — [should_stop] fired).
+    [dir] receives the flight-recorder dump of a quarantined job.
 
     [notify] is forwarded to {!Runner.run_job} (cell / checkpoint / row
     events) and additionally fed supervision outcomes: ["retry"]

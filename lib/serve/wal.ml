@@ -14,10 +14,16 @@
 
    Durability is two-tier: admission and terminal transitions
    (submitted/completed/cancelled/failed/quarantined) fsync before
-   [append] returns; high-frequency progress records (started,
-   checkpointed, yielded) batch, fsyncing every [fsync_every] appends —
-   losing a batched record on a crash only costs re-deriving progress
-   from the checkpoint files, never a job.
+   [append] returns; high-frequency progress records (started, cells,
+   yielded) batch, fsyncing every [fsync_every] appends — losing a
+   batched record on a crash only costs re-running the cells it carried,
+   never a job.
+
+   A [cells] record carries the cells one chunk of a sweep finished, as
+   [[param, seed, cell]] triples; the log is the only place a job's
+   progress is persisted.  Logs written before [cells] existed may hold
+   [{"ev":"checkpointed","cells":n}] markers: they decode as an empty
+   [Cells] record, a no-op, so such a log replays clean.
 
    Metrics: [serve.wal.appends], [serve.wal.syncs],
    [serve.wal.replayed], [serve.wal.torn_tails], [serve.wal.corrupt],
@@ -35,7 +41,7 @@ let g_bytes = Metrics.gauge "serve.wal.bytes"
 type event =
   | Submitted of Spec.t
   | Started of int
-  | Checkpointed of int
+  | Cells of (int * int * Json.t) list
   | Yielded
   | Strikes of int
   | Completed
@@ -88,8 +94,13 @@ let event_json = function
     [ ("ev", Json.Str "submitted"); ("spec", Spec.to_json spec) ]
   | Started attempt ->
     [ ("ev", Json.Str "started"); ("attempt", Json.int attempt) ]
-  | Checkpointed cells ->
-    [ ("ev", Json.Str "checkpointed"); ("cells", Json.int cells) ]
+  | Cells cells ->
+    [ ("ev", Json.Str "cells");
+      ( "cells",
+        Json.List
+          (List.map
+             (fun (p, s, cell) -> Json.List [ Json.int p; Json.int s; cell ])
+             cells) ) ]
   | Yielded -> [ ("ev", Json.Str "yielded") ]
   | Strikes n -> [ ("ev", Json.Str "strikes"); ("n", Json.int n) ]
   | Completed -> [ ("ev", Json.Str "completed") ]
@@ -114,7 +125,22 @@ let event_of_json j =
     | Some (Ok spec) -> Some (Submitted spec)
     | _ -> None)
   | Some "started" -> Option.map (fun a -> Started a) (int "attempt")
-  | Some "checkpointed" -> Option.map (fun c -> Checkpointed c) (int "cells")
+  | Some "cells" -> (
+    match Json.member "cells" j with
+    | Some (Json.List l) ->
+      let triple = function
+        | Json.List [ p; s; cell ] -> (
+          match (Json.to_int p, Json.to_int s) with
+          | Some p, Some s -> Some (p, s, cell)
+          | _ -> None)
+        | _ -> None
+      in
+      let cells = List.filter_map triple l in
+      if List.length cells = List.length l then Some (Cells cells) else None
+    | _ -> None)
+  | Some "checkpointed" ->
+    (* the bare progress marker of logs written beside checkpoint files *)
+    Option.map (fun _ -> Cells []) (int "cells")
   | Some "yielded" -> Some Yielded
   | Some "strikes" -> Option.map (fun n -> Strikes n) (int "n")
   | Some "completed" -> Some Completed
@@ -179,11 +205,14 @@ let locked t f =
 
 let healthy t = locked t (fun () -> t.healthy)
 
+let fsync_counted fd =
+  Unix.fsync fd;
+  Metrics.incr m_syncs
+
 let sync_locked t =
   if t.unsynced > 0 then begin
-    Unix.fsync t.fd;
-    t.unsynced <- 0;
-    Metrics.incr m_syncs
+    fsync_counted t.fd;
+    t.unsynced <- 0
   end
 
 let sync t =
@@ -193,7 +222,7 @@ let sync t =
    HTTP response; progress records may ride the batch. *)
 let durable_event = function
   | Submitted _ | Completed | Cancelled | Failed _ | Quarantined _ -> true
-  | Started _ | Checkpointed _ | Yielded | Strikes _ -> false
+  | Started _ | Cells _ | Yielded | Strikes _ -> false
 
 let append t r =
   let line = encode r ^ "\n" in
@@ -281,15 +310,25 @@ let quarantine_file ~dir =
   | () -> Some target
   | exception Sys_error _ -> None
 
-(* Compaction: atomically rewrite the log as just [records] (the live
-   jobs' state), then reopen for appending.  Run at recovery so the WAL
-   holds live jobs only, not the full history of every job ever run. *)
+let with_fd p flags f =
+  let fd = Unix.openfile p flags 0o644 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
+
+(* Compaction: rewrite the log as just [records] (the live jobs' state)
+   through a temp file, then reopen for appending.  Run at recovery so
+   the WAL holds live jobs only, not the full history of every job ever
+   run.  The temp file is fsynced before the rename and the directory
+   after it, so a power cut leaves either the old log or the whole new
+   one — never an empty file in place of acknowledged records.  An empty
+   compaction has nothing to lose and skips both fsyncs. *)
 let reset ?fsync_every ~dir records =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun r ->
-      Buffer.add_string buf (encode r);
-      Buffer.add_char buf '\n')
-    records;
-  Sink.write_file (path ~dir) (Buffer.contents buf);
+  let data = String.concat "" (List.map (fun r -> encode r ^ "\n") records) in
+  let durable = records <> [] in
+  let dst = path ~dir in
+  let tmp = dst ^ ".tmp" in
+  with_fd tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] (fun fd ->
+      ignore (Unix.write_substring fd data 0 (String.length data));
+      if durable then fsync_counted fd);
+  Sys.rename tmp dst;
+  if durable then with_fd dir [ Unix.O_RDONLY ] fsync_counted;
   open_ ?fsync_every ~dir ()

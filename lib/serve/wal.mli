@@ -11,16 +11,22 @@
       keeps the sound prefix and reports [corrupt = true] so the caller
       can move the file aside ({!quarantine_file}) and restart clean.
 
+    The log is the daemon's one durable store: a job's finished sweep
+    cells ride in [Cells] records, one per chunk, and recovery rebuilds
+    each live job's cursor from them.
+
     Durability is two-tier: submitted/terminal records fsync before
-    {!append} returns; progress records (started/checkpointed/yielded)
-    batch on [fsync_every].  All writer operations are mutex-protected
+    {!append} returns; progress records (started/cells/yielded) batch on
+    [fsync_every].  All writer operations are mutex-protected
     (the HTTP accept domain and the job loop both append) and never
     raise: an I/O failure flips {!healthy}, which [/readyz] reports. *)
 
 type event =
   | Submitted of Spec.t  (** job admitted (durable) *)
   | Started of int  (** attempt [n] (1-based) began *)
-  | Checkpointed of int  (** [cells] done are on disk *)
+  | Cells of (int * int * Sinr_obs.Json.t) list
+      (** [(param, seed, cell)] for each cell one chunk finished; a
+          legacy [checkpointed] marker decodes as [Cells []] *)
   | Yielded  (** attempt closed gracefully (drain) — not a strike *)
   | Strikes of int  (** compaction form: [n] open attempts on record *)
   | Completed  (** terminal (durable) *)
@@ -70,4 +76,6 @@ val quarantine_file : dir:string -> string option
 
 val reset : ?fsync_every:int -> dir:string -> record list -> t
 (** Atomically rewrite the log as exactly [records] (compaction at
-    recovery), then reopen it for appending. *)
+    recovery), then reopen it for appending. The new file and then the
+    directory are fsynced (each counted in [serve.wal.syncs]) unless
+    [records] is empty. *)

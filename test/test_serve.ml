@@ -1,6 +1,7 @@
 (* Tests for the sweep daemon (lib/serve): spec parsing, the resumable
-   sweep cursor, queue admission/cancel, checkpoint/resume bit-identity,
-   the /jobs HTTP surface, and the hardened request handling under it. *)
+   sweep cursor, queue admission/cancel, resume-from-WAL bit-identity,
+   the WAL crash model, the /jobs HTTP surface, and the hardened request
+   handling under it. *)
 
 open Sinr_expt
 open Sinr_obs
@@ -213,13 +214,34 @@ let test_queue_cancel () =
   Alcotest.(check bool) "flag set" true (Atomic.get j2.Sq.cancel);
   Alcotest.(check bool) "still running" true (j2.Sq.state = Sq.Running)
 
-(* ---------------- runner: checkpoint/resume bit-identity ------------- *)
+(* ---------------- runner: resume bit-identity ------------------------ *)
 
 (* One small but real grid: 2 deltas x 2 seeds of the ack experiment. *)
 let bitid_spec ?jobs ?tag () = spec_ack ?jobs ?tag [ 2; 3 ] [ 1; 2 ]
 
-let run_to_done ?should_stop ~dir q job =
-  Runner.run_job ~checkpoint_every:1 ?should_stop ~dir q job
+(* The runner unsupervised, its chunks logged to [dir]'s WAL the way the
+   supervisor logs them. *)
+let run_logged ?should_stop ~dir q (job : Sq.job) =
+  let w = Wal.open_ ~dir () in
+  Fun.protect ~finally:(fun () -> Wal.close w) @@ fun () ->
+  Runner.run_job ~checkpoint_every:1 ?should_stop
+    ~on_checkpoint:(fun ~cells ->
+      Wal.append w { Wal.job = job.Sq.id; ev = Wal.Cells cells })
+    q job
+
+(* The cells of [job]'s Cells records in [dir]'s WAL, in log order. *)
+let logged_cells ~dir (job : Sq.job) =
+  List.concat_map
+    (function
+      | { Wal.job = id; ev = Wal.Cells cs } when id = job.Sq.id -> cs
+      | _ -> [])
+    (Wal.replay ~dir).Wal.records
+
+let cells_string cells =
+  String.concat "\n"
+    (List.map
+       (fun (p, s, c) -> Printf.sprintf "%d %d %s" p s (Json.to_string_json c))
+       cells)
 
 let table_string (job : Sq.job) =
   match job.Sq.table with
@@ -237,10 +259,10 @@ let test_resume_bit_identical () =
     | Error _ -> Alcotest.fail "submit failed"
   in
   ignore (Sq.take q1);
-  run_to_done ~dir:dir1 q1 j1;
+  run_logged ~dir:dir1 q1 j1;
   Alcotest.(check bool) "reference done" true (j1.Sq.state = Sq.Done);
   let t1 = table_string j1 in
-  let ck1 = read_file (Runner.checkpoint_path ~dir:dir1 j1) in
+  let ck1 = cells_string (logged_cells ~dir:dir1 j1) in
 
   (* killed after one cell, then resumed *)
   let dir2 = fresh_dir () in
@@ -252,7 +274,7 @@ let test_resume_bit_identical () =
   in
   ignore (Sq.take q2);
   let polls = ref 0 in
-  run_to_done
+  run_logged
     ~should_stop:(fun () ->
       incr polls;
       !polls >= 2)
@@ -261,13 +283,13 @@ let test_resume_bit_identical () =
   Alcotest.(check int) "one cell before the kill" 1 j2.Sq.cells_done;
   (* the next process: take it again and run to completion *)
   ignore (Sq.take q2);
-  run_to_done ~dir:dir2 q2 j2;
+  run_logged ~dir:dir2 q2 j2;
   Alcotest.(check bool) "resumed to done" true (j2.Sq.state = Sq.Done);
   Alcotest.(check int) "restored from checkpoint" 1 j2.Sq.restored;
   Alcotest.(check string) "table bit-identical after kill+resume" t1
     (table_string j2);
-  Alcotest.(check string) "checkpoint bit-identical" ck1
-    (read_file (Runner.checkpoint_path ~dir:dir2 j2));
+  Alcotest.(check string) "logged cells bit-identical" ck1
+    (cells_string (logged_cells ~dir:dir2 j2));
 
   (* jobs invariance: a parallel run of the same grid, same bytes *)
   let dir3 = fresh_dir () in
@@ -278,7 +300,7 @@ let test_resume_bit_identical () =
     | Error _ -> Alcotest.fail "submit failed"
   in
   ignore (Sq.take q3);
-  run_to_done ~dir:dir3 q3 j3;
+  run_logged ~dir:dir3 q3 j3;
   Alcotest.(check string) "table invariant under jobs" t1 (table_string j3)
 
 let test_cancel_mid_grid =
@@ -293,7 +315,7 @@ let test_cancel_mid_grid =
       ignore (Sq.take q);
       (* cancel through the public surface once the first cell lands: the
          runner must stop at the next cell boundary, not finish the grid *)
-      Runner.run_job ~checkpoint_every:1
+      run_logged
         ~should_stop:(fun () ->
           if job.Sq.cells_done >= 1 && not (Atomic.get job.Sq.cancel) then
             ignore (Sq.cancel q job.Sq.id);
@@ -304,42 +326,12 @@ let test_cancel_mid_grid =
         (job.Sq.cells_done >= 1 && job.Sq.cells_done < job.Sq.cells_total);
       Alcotest.(check (option int)) "metric" (Some 1)
         (Metrics.counter_peek "serve.jobs.cancelled");
-      (* the checkpoint holds exactly the completed cells *)
-      let ck = read_file (Runner.checkpoint_path ~dir job) in
-      let lines =
-        List.filter (fun l -> String.trim l <> "")
-          (String.split_on_char '\n' ck)
-      in
-      Alcotest.(check int) "header + one line per done cell"
-        (1 + job.Sq.cells_done) (List.length lines))
-
-let test_checkpoint_restore_guards () =
-  let spec = bitid_spec () in
-  let dir = fresh_dir () in
-  let path = Filename.concat dir "guard.ckpt.jsonl" in
-  let c = Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds in
-  Alcotest.(check int) "missing file restores nothing" 0
-    (Runner.restore ~path spec c);
-  (* foreign spec: same shape, different experiment *)
-  ignore (Sweep.record c 2 1 (Json.int 7));
-  Runner.save ~path spec c;
-  let c2 = Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds in
-  let foreign = { spec with Spec.exp = "chaos" } in
-  Alcotest.(check int) "foreign spec rejected" 0
-    (Runner.restore ~path foreign c2);
-  (* matching spec restores; jobs/tag differences don't matter *)
-  let retagged = { spec with Spec.jobs = Some 7; tag = Some "other" } in
-  Alcotest.(check int) "jobs/tag ignored in matching" 1
-    (Runner.restore ~path retagged c2);
-  (* malformed cell lines are skipped, not fatal *)
-  let garbled =
-    read_file path ^ "not json\n{\"param\":999,\"seed\":1,\"cell\":1}\n"
-  in
-  let oc = open_out_bin path in
-  output_string oc garbled;
-  close_out oc;
-  let c3 = Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds in
-  Alcotest.(check int) "garbage skipped" 1 (Runner.restore ~path spec c3)
+      (* the job's Cells records hold exactly the completed cells *)
+      Alcotest.(check string) "one logged cell per done cell"
+        (cells_string job.Sq.cells)
+        (cells_string (logged_cells ~dir job));
+      Alcotest.(check int) "logged cells counted" job.Sq.cells_done
+        (List.length (logged_cells ~dir job)))
 
 (* ---------------- cache ---------------- *)
 
@@ -504,7 +496,11 @@ let test_wal_roundtrip =
   with_registry (fun () ->
       let spec = spec_ack ~jobs:2 ~tag:"w" [ 2 ] [ 1 ] in
       let evs =
-        [ Wal.Submitted spec; Wal.Started 2; Wal.Checkpointed 3; Wal.Yielded;
+        [ Wal.Submitted spec; Wal.Started 2;
+          Wal.Cells
+            [ (2, 1, Json.Obj [ ("acks", Json.int 3); ("f", Json.Num 0.1) ]);
+              (2, 2, Json.Null) ];
+          Wal.Yielded;
           Wal.Strikes 2; Wal.Completed; Wal.Cancelled; Wal.Failed "boom";
           Wal.Quarantined "poison" ]
       in
@@ -530,7 +526,7 @@ let test_wal_roundtrip =
       let records =
         [ { Wal.job = 1; ev = Wal.Submitted spec };
           { Wal.job = 1; ev = Wal.Started 1 };
-          { Wal.job = 1; ev = Wal.Checkpointed 1 };
+          { Wal.job = 1; ev = Wal.Cells [ (2, 1, Json.int 7) ] };
           { Wal.job = 1; ev = Wal.Completed } ]
       in
       let w = Wal.open_ ~fsync_every:2 ~dir () in
@@ -581,7 +577,7 @@ let test_wal_torn_tail =
       let records =
         [ { Wal.job = 1; ev = Wal.Submitted spec };
           { Wal.job = 1; ev = Wal.Started 1 };
-          { Wal.job = 1; ev = Wal.Checkpointed 1 } ]
+          { Wal.job = 1; ev = Wal.Cells [ (2, 1, Json.int 7) ] } ]
       in
       let w = Wal.open_ ~dir () in
       List.iter (Wal.append w) records;
@@ -647,22 +643,6 @@ let test_wal_corruption =
          daemon's own recovery pass *)
       Alcotest.(check (option int)) "corruption counted" (Some 2)
         (Metrics.counter_peek "serve.wal.corrupt"))
-
-let test_checkpoint_torn_tail () =
-  (* Checkpoints are written atomically (temp+rename), but restore must
-     still survive a half-written file from a foreign source. *)
-  let spec = bitid_spec () in
-  let dir = fresh_dir () in
-  let path = Filename.concat dir "torn.ckpt.jsonl" in
-  let c = Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds in
-  ignore (Sweep.record c 2 1 (Json.int 7));
-  ignore (Sweep.record c 2 2 (Json.int 8));
-  Runner.save ~path spec c;
-  let raw = read_file path in
-  write_raw path (String.sub raw 0 (String.length raw - 4));
-  let c2 = Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds in
-  Alcotest.(check int) "clean prefix restored" 1
-    (Runner.restore ~path spec c2)
 
 (* ---------------- supervisor: retry, quarantine, budgets ------------ *)
 
@@ -848,8 +828,10 @@ let test_daemon_crash_recovery =
         (status_of ref_table);
       Daemon.close refd;
 
-      (* hard-crash simulation: daemon A admits the job, checkpoints one
-         cell mid-attempt, then the process "dies" — its in-memory state
+      (* hard-crash simulation: daemon A admits the job, logs one cell to
+         its WAL mid-attempt (the runner's chunk hook appends the Cells
+         record, as the supervisor's does), then the process "dies" — its
+         in-memory state
          is discarded without any drain, close or fsync, exactly the
          SIGKILL residue (the real-signal version runs in `make
          crash-smoke` against the binary) *)
@@ -872,7 +854,9 @@ let test_daemon_crash_recovery =
       let polls = ref 0 in
       Runner.run_job ~checkpoint_every:1
         ~should_stop:(fun () -> incr polls; !polls >= 2)
-        ~dir (Daemon.queue a) job;
+        ~on_checkpoint:(fun ~cells ->
+          Wal.append (Daemon.wal a) { Wal.job = 1; ev = Wal.Cells cells })
+        (Daemon.queue a) job;
       Alcotest.(check int) "one cell checkpointed before the crash" 1
         job.Sq.cells_done;
 
@@ -901,6 +885,168 @@ let test_daemon_crash_recovery =
       Alcotest.(check string) "table byte-identical to uninterrupted run"
         (body_of ref_table) (body_of tb);
       Daemon.close b)
+
+(* ---------------- WAL: compaction, legacy records, crash model ------ *)
+
+let syncs () =
+  Option.value ~default:0 (Metrics.counter_peek "serve.wal.syncs")
+
+let test_wal_reset_durable =
+  with_registry (fun () ->
+      let dir = fresh_dir () in
+      Wal.close (Wal.reset ~dir []);
+      Alcotest.(check int) "empty compaction does not fsync" 0 (syncs ());
+      let records =
+        [ { Wal.job = 1; ev = Wal.Submitted (spec_ack [ 2 ] [ 1 ]) };
+          { Wal.job = 1; ev = Wal.Cells [ (2, 1, Json.int 7) ] } ]
+      in
+      Wal.close (Wal.reset ~dir records);
+      Alcotest.(check int) "file and directory fsynced" 2 (syncs ());
+      Alcotest.(check bool) "compacted log replays" true
+        ((Wal.replay ~dir).Wal.records = records);
+      Alcotest.(check bool) "no temp file left behind" false
+        (Sys.file_exists (Wal.path ~dir ^ ".tmp")))
+
+(* A log written beside checkpoint files carries bare "checkpointed"
+   progress markers; one between sound records is a no-op, not damage. *)
+let test_wal_legacy_checkpointed =
+  with_registry (fun () ->
+      let dir = fresh_dir () in
+      let spec = spec_ack [ 2 ] [ 1; 2 ] in
+      let cell = Json.Obj [ ("acks", Json.int 3) ] in
+      let append records =
+        let w = Wal.open_ ~dir () in
+        List.iter (Wal.append w) records;
+        Wal.close w
+      in
+      append
+        [ { Wal.job = 1; ev = Wal.Submitted spec };
+          { Wal.job = 1; ev = Wal.Started 1 };
+          { Wal.job = 1; ev = Wal.Cells [ (2, 1, cell) ] } ];
+      let payload = {|{"wal":1,"job":1,"ev":"checkpointed","cells":1}|} in
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 (Wal.path ~dir) in
+      Printf.fprintf oc "%08lx %s\n" (Wal.crc32 payload) payload;
+      close_out oc;
+      append
+        [ { Wal.job = 1; ev = Wal.Yielded };
+          { Wal.job = 2; ev = Wal.Submitted (spec_ack [ 3 ] [ 1 ]) } ];
+      let r = Wal.replay ~dir in
+      Alcotest.(check bool) "not corruption" false r.Wal.corrupt;
+      Alcotest.(check bool) "not a torn tail" false r.Wal.torn_tail;
+      Alcotest.(check bool) "legacy marker is an empty Cells record" true
+        (List.nth r.Wal.records 3 = { Wal.job = 1; ev = Wal.Cells [] });
+      Alcotest.(check int) "records after it kept" 6 (List.length r.Wal.records);
+      let d = Daemon.create ~dir () in
+      Fun.protect ~finally:(fun () -> Daemon.close d) @@ fun () ->
+      Alcotest.(check bool) "daemon recovers clean" true
+        (Daemon.wal_recovery d = `Clean);
+      Alcotest.(check int) "both jobs re-admitted" 2 (Daemon.recovered d);
+      match Sq.find (Daemon.queue d) 1 with
+      | None -> Alcotest.fail "job 1 missing"
+      | Some j ->
+        Alcotest.(check string) "job 1 keeps its logged cell"
+          (cells_string [ (2, 1, cell) ])
+          (cells_string j.Sq.cells);
+        Alcotest.(check int) "cells_done from the log" 1 j.Sq.cells_done;
+        Alcotest.(check int) "Yielded after the marker still read" 0
+          j.Sq.attempts)
+
+(* Crash model: the WAL of one 2x2 ack job (one Cells record per cell),
+   cut at every byte offset.  Replay must return a prefix of the appended
+   records — a cut inside a line is a torn tail, never corruption — and
+   a daemon created over the cut log must hold exactly the cells that
+   prefix logged.  From a few cuts the job is run to done and its table
+   must match the uninterrupted run byte for byte. *)
+let test_wal_crash_model =
+  with_registry (fun () ->
+      let table_of d =
+        body_of
+          (Http.handle ~handler:(Daemon.handler d)
+             "GET /jobs/1/table HTTP/1.1\r\n\r\n")
+      in
+      let src = fresh_dir () in
+      let d = Daemon.create ~dir:src ~checkpoint_every:1 () in
+      ignore
+        (Http.handle ~handler:(Daemon.handler d)
+           (post_jobs {|{"exp":"ack","params":[2,3],"seeds":[1,2]}|}));
+      while Daemon.step d do () done;
+      let ref_table = table_of d in
+      Daemon.close d;
+      let raw = read_file (Wal.path ~dir:src) in
+      let full = (Wal.replay ~dir:src).Wal.records in
+      Alcotest.(check (list string)) "one record per transition and chunk"
+        [ "submitted"; "started"; "cells"; "cells"; "cells"; "cells";
+          "completed" ]
+        (List.map
+           (fun (r : Wal.record) ->
+             match r.Wal.ev with
+             | Wal.Submitted _ -> "submitted"
+             | Wal.Started _ -> "started"
+             | Wal.Cells _ -> "cells"
+             | Wal.Completed -> "completed"
+             | _ -> "other")
+           full);
+      let prefix n = List.filteri (fun i _ -> i < n) full in
+      let cells_in records =
+        List.concat_map
+          (function { Wal.ev = Wal.Cells cs; _ } -> cs | _ -> [])
+          records
+      in
+      (* byte offset just past each line's newline *)
+      let ends =
+        List.rev
+          (String.fold_left
+             (fun (i, acc) c -> (i + 1, if c = '\n' then (i + 1) :: acc else acc))
+             (0, []) raw
+          |> snd)
+      in
+      let line_end k = List.nth ends (k - 1) in
+      let completions =
+        [ line_end 2; (line_end 4 + line_end 5) / 2; line_end 6 ]
+      in
+      let dir = fresh_dir () in
+      for k = 0 to String.length raw do
+        write_raw (Wal.path ~dir) (String.sub raw 0 k);
+        let lines = List.length (List.filter (fun e -> e <= k) ends) in
+        let tail = k - (if lines = 0 then 0 else line_end lines) in
+        let whole = tail > 0 && raw.[k] = '\n' in
+        let want_n = if whole then lines + 1 else lines in
+        let want_torn = tail > 0 && not whole in
+        let r = Wal.replay ~dir in
+        if r.Wal.records <> prefix want_n || r.Wal.torn_tail <> want_torn
+           || r.Wal.corrupt
+        then
+          Alcotest.failf "cut at %d: %d records torn=%b corrupt=%b, want %d \
+                          torn=%b"
+            k (List.length r.Wal.records) r.Wal.torn_tail r.Wal.corrupt
+            want_n want_torn;
+        let kept = prefix want_n in
+        let live =
+          List.exists (function { Wal.ev = Wal.Submitted _; _ } -> true
+                                | _ -> false) kept
+          && not (List.mem { Wal.job = 1; ev = Wal.Completed } kept)
+        in
+        let d = Daemon.create ~dir ~checkpoint_every:1 () in
+        (match (Sq.find (Daemon.queue d) 1, live) with
+         | Some j, true ->
+           if cells_string j.Sq.cells <> cells_string (cells_in kept) then
+             Alcotest.failf "cut at %d: recovered %d cells, the log holds %d"
+               k (List.length j.Sq.cells) (List.length (cells_in kept));
+           if List.mem k completions then begin
+             while Daemon.step d do () done;
+             Alcotest.(check int)
+               (Printf.sprintf "cut at %d: resumed from the logged cells" k)
+               (List.length (cells_in kept)) j.Sq.restored;
+             Alcotest.(check string)
+               (Printf.sprintf "cut at %d: table byte-identical" k)
+               ref_table (table_of d)
+           end
+         | None, false -> ()
+         | _, live ->
+           Alcotest.failf "cut at %d: job 1 recovered %b, want %b" k
+             (not live) live);
+        Daemon.close d
+      done)
 
 let test_daemon_recovery_quarantine =
   with_registry (fun () ->
@@ -1225,8 +1371,6 @@ let suite =
     Alcotest.test_case "runner: kill+resume bit-identical" `Slow
       test_resume_bit_identical;
     Alcotest.test_case "runner: cancel mid-grid" `Slow test_cancel_mid_grid;
-    Alcotest.test_case "runner: restore guards" `Quick
-      test_checkpoint_restore_guards;
     Alcotest.test_case "cache: reuse and eviction" `Quick
       test_cache_reuse_and_eviction;
     Alcotest.test_case "daemon: /jobs http surface" `Quick test_daemon_http;
@@ -1239,8 +1383,6 @@ let suite =
     Alcotest.test_case "wal: torn tail skipped" `Quick test_wal_torn_tail;
     Alcotest.test_case "wal: corruption quarantined" `Quick
       test_wal_corruption;
-    Alcotest.test_case "runner: torn checkpoint restores prefix" `Quick
-      test_checkpoint_torn_tail;
     Alcotest.test_case "supervisor: transient fault retried" `Quick
       test_supervisor_retry;
     Alcotest.test_case "supervisor: poison job quarantined" `Quick
@@ -1251,6 +1393,12 @@ let suite =
       test_supervisor_cell_timeout;
     Alcotest.test_case "daemon: crash-restart bit-identical" `Slow
       test_daemon_crash_recovery;
+    Alcotest.test_case "wal: compaction is durable" `Quick
+      test_wal_reset_durable;
+    Alcotest.test_case "wal: legacy checkpointed record is a no-op" `Quick
+      test_wal_legacy_checkpointed;
+    Alcotest.test_case "wal: crash model at every byte offset" `Slow
+      test_wal_crash_model;
     Alcotest.test_case "daemon: recovery quarantines wedgers" `Quick
       test_daemon_recovery_quarantine;
     Alcotest.test_case "daemon: /readyz honest readiness" `Quick
